@@ -7,7 +7,7 @@ generator and an SNR/MAE/RMSE evaluation harness.
 """
 
 from .baseline import green_baseline_hr, green_baseline_signal, green_baseline_windows
-from .hr import HrEstimate, estimate_hr, estimate_hr_series, sliding_hr
+from .hr import HrEstimate, estimate_hr, estimate_hr_series, sliding_hr, spectral_peak
 from .ingest import (
     RawTrace,
     RoiFrame,
@@ -33,6 +33,7 @@ from .selection import (
     MaskDecision,
     MaskReason,
     ReferenceHrState,
+    dominant_frequencies,
     dominant_frequency,
     select_candidates,
     spectral_mask,
@@ -56,11 +57,12 @@ __all__ = [
     "SsaDecomposition", "hankel_embed", "svd_components",
     "diagonal_average", "decompose",
     "ReferenceHrState", "CandidateComponent", "MaskDecision", "MaskReason",
-    "dominant_frequency", "update_reference", "spectral_mask",
-    "select_candidates",
+    "dominant_frequency", "dominant_frequencies", "update_reference",
+    "spectral_mask", "select_candidates",
     "GaussianWeightParams", "PulseWave", "PipelineConfig",
     "gaussian_weight", "fuse_window", "overlap_add", "run_pipeline",
     "HrEstimate", "estimate_hr", "estimate_hr_series", "sliding_hr",
+    "spectral_peak",
     "EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate",
     "SynthConfig", "generate", "illumination_sweep",
     "green_baseline_signal", "green_baseline_hr", "green_baseline_windows",

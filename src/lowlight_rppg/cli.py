@@ -107,9 +107,12 @@ def load_pulse_csv(path) -> PulseWave:
                 values.append(float(parts[1]))
             except ValueError:
                 raise ParseError(f"non-numeric value in {line!r}", lineno)
-    if fs is None or fs <= 0:
+    if fs is None or not (np.isfinite(fs) and fs > 0):
         raise InvalidHeader("missing or invalid '# fs=' header")
-    return PulseWave(samples=np.array(values), fs=fs)
+    samples = np.array(values)
+    if not np.all(np.isfinite(samples)):
+        raise ParseError("pulse contains a non-finite sample")
+    return PulseWave(samples=samples, fs=fs)
 
 
 def load_reference_csv(path) -> list[tuple[float, float]]:
@@ -262,6 +265,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    config = _pipeline_config(args)
     trace = load_trace_csv(args.trace)
     os.makedirs(args.outdir, exist_ok=True)
     green = trace.green()
@@ -281,10 +285,8 @@ def cmd_analyze(args) -> int:
             fh.write(_fmt(float(t)) + "," +
                      ",".join(_fmt(float(v)) for v in row) + "\n")
 
-    sig = baseline.green_baseline_signal(trace, lam=args.lam,
-                                         band=(args.band_low, args.band_high))
-    est = baseline.green_baseline_hr(trace, lam=args.lam,
-                                     band=(args.band_low, args.band_high))
+    sig = baseline.green_baseline_signal(trace, lam=config.lam, band=config.band)
+    est = baseline.green_baseline_hr(trace, lam=config.lam, band=config.band)
     _write_json(os.path.join(args.outdir, "peaks.json"), {
         "peak_freq_hz": est.peak_freq,
         "bpm": est.bpm,

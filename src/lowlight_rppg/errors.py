@@ -5,6 +5,12 @@ class RppgError(Exception):
     """Base class for all pipeline errors."""
 
 
+# Also the base of configuration errors that are found where a value is
+# used, such as a filter band above the trace's Nyquist frequency.
+class ConfigError(RppgError):
+    """Invalid configuration value."""
+
+
 # --- ingestion ---
 
 class EmptyRoi(RppgError):
@@ -47,7 +53,7 @@ class NonFiniteInput(RppgError):
     """Input contains NaN or infinite values."""
 
 
-class NyquistViolation(RppgError):
+class NyquistViolation(ConfigError):
     """Requested filter band exceeds the Nyquist frequency."""
 
 
@@ -83,11 +89,7 @@ class TraceTooShort(RppgError):
     """Trace shorter than one analysis window."""
 
 
-# --- evaluation / configuration ---
+# --- evaluation ---
 
 class PairingError(RppgError):
     """Estimated and reference HR sequences cannot be paired."""
-
-
-class ConfigError(RppgError):
-    """Invalid configuration value."""

@@ -6,11 +6,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesTooShort, ZeroSignal
+from .errors import ConfigError, SeriesTooShort, ZeroSignal
 from .preprocess import PULSE_BAND
 
 # Zero-pad target: <= 0.11 bpm resolution at fs = 30 Hz.
 _MIN_NFFT = 2**14
+
+
+def _band_spectrum(x, fs: float, band: tuple[float, float], nfft: int):
+    """(freqs, magnitude) of the ``nfft``-point rFFT along the last axis,
+    restricted to the bins inside ``band`` (inclusive)."""
+    freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
+    bins = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
+    if bins.size == 0:
+        raise ValueError(f"band {band} contains no FFT bins at fs={fs}")
+    keep = slice(bins[0], bins[-1] + 1)
+    return freqs[keep], np.abs(np.fft.rfft(x, n=nfft, axis=-1)[..., keep])
+
+
+def spectral_peak(x, fs: float, band: tuple[float, float], nfft: int) -> np.ndarray:
+    """Frequency of the largest rFFT magnitude inside ``band``, per series.
+
+    ``x`` is one series or an ``(..., T)`` stack of them; each series
+    along the last axis is zero-padded to ``nfft`` points, which must be
+    at least T.  Ties resolve to the lower frequency because argmax
+    returns the first maximum.  The result has shape ``x.shape[:-1]``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] > nfft:
+        raise ValueError(f"nfft {nfft} is shorter than the series ({x.shape[-1]})")
+    freqs, mag = _band_spectrum(x, fs, band, nfft)
+    return freqs[np.argmax(mag, axis=-1)]
 
 
 @dataclass(frozen=True)
@@ -25,9 +51,9 @@ def estimate_hr_series(samples, fs: float, min_duration_s: float = 10.0) -> HrEs
 
     The signal is z-score normalized (making the estimate amplitude
     invariant) and zero-padded to at least 2^14 points; HR is 60 times the
-    argmax frequency of the FFT power within [0.7, 4.0] Hz.  Ties break
-    toward the lower frequency (favoring the fundamental over a harmonic);
-    no peak interpolation is applied.
+    argmax frequency of the FFT magnitude within [0.7, 4.0] Hz, picked as
+    in ``spectral_peak``.  Ties break toward the lower frequency (favoring
+    the fundamental over a harmonic); no peak interpolation is applied.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < min_duration_s * fs:
@@ -38,15 +64,10 @@ def estimate_hr_series(samples, fs: float, min_duration_s: float = 10.0) -> HrEs
     if std == 0.0:
         raise ZeroSignal("constant pulse wave has no spectral peak")
     x = x / std
-    n = max(_MIN_NFFT, x.size)
-    power = np.abs(np.fft.rfft(x, n=n)) ** 2
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    mask = (freqs >= PULSE_BAND[0]) & (freqs <= PULSE_BAND[1])
-    band_freqs = freqs[mask]
-    band_power = power[mask]
-    peak = float(band_freqs[np.argmax(band_power)])
+    band_freqs, mag = _band_spectrum(x, fs, PULSE_BAND, max(_MIN_NFFT, x.size))
+    peak = float(band_freqs[np.argmax(mag)])
     return HrEstimate(bpm=60.0 * peak, peak_freq=peak,
-                      spectrum=(band_freqs, band_power))
+                      spectrum=(band_freqs, mag**2))
 
 
 def estimate_hr(pulse) -> HrEstimate:
@@ -60,6 +81,8 @@ def sliding_hr(samples, fs: float, win_s: float = 10.0,
     x = np.asarray(samples, dtype=float)
     win = int(round(win_s * fs))
     step = int(round(step_s * fs))
+    if win < 1 or step < 1:
+        raise ConfigError(f"window ({win}) and step ({step}) must be at least one sample")
     if x.size < win:
         raise SeriesTooShort(f"need at least {win_s} s of samples")
     out = []

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +54,8 @@ class RawTrace:
             raise ValueError("samples must be a (T, 3) array with T >= 2")
         if not np.all(np.isfinite(s)):
             raise ValueError("samples must be finite")
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+        if not (np.isfinite(self.fs) and self.fs > 0):
+            raise ValueError("fs must be positive and finite")
         object.__setattr__(self, "samples", s)
 
     def __len__(self):
@@ -131,11 +131,15 @@ def load_trace_csv(path) -> RawTrace:
                 raise ParseError(f"non-numeric value in {line!r}", lineno)
     if fs is None:
         raise InvalidHeader("missing '# fs=' header line")
-    if fs <= 0:
-        raise InvalidHeader(f"fs must be positive, got {fs}")
+    if not (np.isfinite(fs) and fs > 0):
+        raise InvalidHeader(f"fs must be positive and finite, got {fs}")
     if len(rows) < 2:
         raise ParseError("trace must contain at least 2 rows")
-    return RawTrace(samples=np.array(rows), fs=fs, t0=t0)
+    samples = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise ParseError(f"non-finite sample in data row {bad[0] + 1}")
+    return RawTrace(samples=samples, fs=fs, t0=t0)
 
 
 def save_trace_csv(trace: RawTrace, path) -> None:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal.windows import hann
 
 from .errors import (
@@ -19,10 +20,16 @@ from .selection import (
     DEFAULT_SEC_CHN,
     SIGMA_INIT,
     ReferenceHrState,
+    dominant_frequencies,
+    reference_sigma,
     select_candidates,
-    update_reference,
 )
 from .ssa import decompose, default_window_length
+
+# run_pipeline preprocesses and scores the window stack this many rows at
+# a time: their 8192-point spectra take about 4 MB, so peak memory does
+# not grow with the trace length.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,14 @@ class PulseWave:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Pipeline settings; out-of-range values raise ConfigError here.
+
+    ``band`` is the pulse band in Hz: it sets the bandpass, the range
+    searched for the reference HR and the band of the spectral mask.  Its
+    upper edge is checked against the trace's Nyquist frequency by
+    ``bandpass``.
+    """
+
     window_s: float = 10.0
     step_s: float = 1.0
     ssa_window: int | None = None  # None: T/3 clamped to [2*fs, T/2]
@@ -130,17 +145,36 @@ class PipelineConfig:
     band: tuple[float, float] = PULSE_BAND
     sigma_init: float = SIGMA_INIT
 
+    def __post_init__(self):
+        positive = {"window_s": self.window_s, "step_s": self.step_s,
+                    "lam": self.lam, "sigma_init": self.sigma_init}
+        for name, value in positive.items():
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.sec_chn < 1:
+            raise ConfigError(f"sec_chn must be >= 1, got {self.sec_chn}")
+        if self.ssa_window is not None and self.ssa_window < 2:
+            raise ConfigError(f"ssa_window must be >= 2, got {self.ssa_window}")
+        low, high = self.band
+        if not (np.isfinite(high) and 0 < low < high):
+            raise ConfigError(f"band needs 0 < low < high, got [{low}, {high}]")
+
 
 def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> PulseWave:
     """Extract the pulse wave from a raw trace.
 
-    Every ``step_s`` a 10 s green-channel window is detrended, bandpassed
-    and used to advance the reference HR.  Windows starting on half-window
-    boundaries are additionally SSA-decomposed, mask-selected, fused with
-    Gaussian weights centered on the reference HR, and assembled by Hann
-    overlap-add at 50% hop.  Analysis runs at the fine step purely for
-    reference-HR tracking; emitting every window would break the
-    constant-overlap-add normalization.
+    The green channel is cut into 10 s windows every ``step_s``, an
+    ``(n_windows, T)`` stack that is processed as array stages in blocks
+    of rows: one ``detrend``, one ``bandpass`` and one
+    ``dominant_frequencies`` call per block give every window's
+    preprocessed samples and reference HR.  The reference-HR dispersion
+    then follows ``reference_sigma`` over the reference HRs so far.
+    Windows starting on half-window boundaries are additionally
+    SSA-decomposed, mask-selected, fused with Gaussian weights centered
+    on the reference HR, and assembled by Hann overlap-add at 50% hop;
+    only those windows are kept past their block.  Analysis runs at the
+    fine step purely for reference-HR tracking; emitting every window
+    would break the constant-overlap-add normalization.
     """
     fs = trace.fs
     win = int(round(config.window_s * fs))
@@ -154,27 +188,36 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     if T < win:
         raise TraceTooShort(f"trace has {T} samples, need at least {win}")
 
-    green = trace.green()
-    state = ReferenceHrState(sigma_fr=config.sigma_init)
+    windows = sliding_window_view(trace.green(), win)[::step]
+    every = hop // step  # every this many windows, one is emitted
+    f_r = np.empty(len(windows))
+    emitted_segs = []
+    for b in range(0, len(windows), _BLOCK_ROWS):
+        segs = bandpass(detrend(windows[b:b + _BLOCK_ROWS], config.lam), fs,
+                        config.band[0], config.band[1])
+        f_r[b:b + len(segs)] = dominant_frequencies(segs, fs, config.band)
+        # keep a compact copy of the emitted rows, not views of the block
+        emitted_segs.extend(segs[(-b) % every::every].copy())
+    sigma_fr = [reference_sigma(f_r[:k + 1], config.sigma_init) for k in range(len(f_r))]
+
+    L = config.ssa_window or default_window_length(win, fs)
     emitted = []
     records = []
-    for start in range(0, T - win + 1, step):
-        seg = bandpass(detrend(green[start:start + win], config.lam), fs,
-                       config.band[0], config.band[1])
-        state = update_reference(state, seg, fs)
-        emit = start % hop == 0
+    for i, (f, sigma) in enumerate(zip(f_r.tolist(), sigma_fr)):
+        start = i * step
+        emit = i % every == 0
         n_accepted = 0
         fallback = False
         if emit:
-            L = config.ssa_window or default_window_length(win, fs)
-            dec = decompose(seg, L, max_components=config.sec_chn)
-            sel = select_candidates(dec, fs, state, sec_chn=config.sec_chn)
+            state = ReferenceHrState(f_r=f, sigma_fr=sigma)
+            dec = decompose(emitted_segs[i // every], L, max_components=config.sec_chn)
+            sel = select_candidates(dec, fs, state, config.sec_chn, config.band)
             params = GaussianWeightParams(mu=state.f_r, sigma=state.sigma_fr)
             emitted.append((start, fuse_window(sel.accepted, params)))
             n_accepted = len(sel.accepted)
             fallback = sel.fallback_used
         records.append(WindowRecord(
-            t_start=start / fs, f_r=state.f_r, sigma_fr=state.sigma_fr,
+            t_start=start / fs, f_r=f, sigma_fr=sigma,
             n_accepted=n_accepted, fallback=fallback, emitted=emit))
     samples = overlap_add(emitted, win, hop)
     return PulseWave(samples=samples, fs=fs, window_flags=tuple(records))

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoComponents, SeriesTooShort, ZeroSignal
+from .hr import spectral_peak
 from .preprocess import PULSE_BAND
 from .ssa import SsaDecomposition
 
@@ -49,52 +50,64 @@ class MaskDecision:
     reason: MaskReason
 
 
-def dominant_frequency(series, fs: float, band: tuple[float, float] = PULSE_BAND) -> float:
-    """Frequency of the largest FFT magnitude within ``band``.
+def dominant_frequencies(rows, fs: float, band: tuple[float, float]) -> np.ndarray:
+    """Frequency of the largest FFT magnitude within ``band``, per row.
 
-    The series is zero-padded to at least 8192 points; ties resolve to the
-    lower frequency because argmax returns the first maximum.
+    ``rows`` is an ``(n, T)`` array; each row is mean-removed, zero-padded
+    to at least 8192 points and searched with ``spectral_peak``, so ties
+    resolve to the lower frequency.  Returns shape ``(n,)``.
     """
-    x = np.asarray(series, dtype=float)
-    if x.size < 2:
-        raise SeriesTooShort("dominant_frequency needs at least 2 samples")
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"expected an (n, T) array, got shape {x.shape}")
+    if x.shape[1] < 2:
+        raise SeriesTooShort("dominant frequency needs at least 2 samples")
     # remove the mean so zero-padding does not smear a DC offset across
     # the whole spectrum
-    x = x - x.mean()
-    if not np.any(x):
+    x = x - x.mean(axis=1, keepdims=True)
+    if not np.all(np.any(x, axis=1)):
         raise ZeroSignal("constant series has no dominant frequency")
-    n = max(_MIN_NFFT, x.size)
-    mag = np.abs(np.fft.rfft(x, n=n))
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    mask = (freqs >= band[0]) & (freqs <= band[1])
-    if not np.any(mask):
-        raise ValueError(f"band {band} contains no FFT bins at fs={fs}")
-    return float(freqs[mask][np.argmax(mag[mask])])
+    return spectral_peak(x, fs, band, max(_MIN_NFFT, x.shape[1]))
 
 
-def update_reference(state: ReferenceHrState, green_window, fs: float) -> ReferenceHrState:
+def dominant_frequency(series, fs: float, band: tuple[float, float] = PULSE_BAND) -> float:
+    """``dominant_frequencies`` of a single series."""
+    return float(dominant_frequencies(np.reshape(series, (1, -1)), fs, band)[0])
+
+
+def reference_sigma(history, sigma_init: float) -> float:
+    """Mask half-width (Hz) after the reference HRs in ``history``.
+
+    The sample standard deviation of the whole history, floored at
+    SIGMA_FLOOR; ``sigma_init`` until two windows have been seen.
+    """
+    if len(history) < 2:
+        return sigma_init
+    return max(float(np.std(history, ddof=1)), SIGMA_FLOOR)
+
+
+def update_reference(state: ReferenceHrState, green_window, fs: float,
+                     band: tuple[float, float] = PULSE_BAND) -> ReferenceHrState:
     """Advance the reference HR with one 10 s green-channel window.
 
     The instantaneous HR is the dominant in-band frequency of the window;
-    the dispersion is the sample standard deviation over all history so
-    far, floored at SIGMA_FLOOR, and stays at SIGMA_INIT until two
-    windows have been seen.
+    the dispersion follows ``reference_sigma``, seeded with the incoming
+    state's ``sigma_fr`` until two windows have been seen.
     """
-    f = dominant_frequency(green_window, fs)
+    f = dominant_frequency(green_window, fs, band)
     history = state.history + (f,)
-    if len(history) >= 2:
-        sigma = max(float(np.std(history, ddof=1)), SIGMA_FLOOR)
-    else:
-        sigma = SIGMA_INIT
-    return ReferenceHrState(f_r=f, sigma_fr=sigma, history=history)
+    return ReferenceHrState(f_r=f, sigma_fr=reference_sigma(history, state.sigma_fr),
+                            history=history)
 
 
-def spectral_mask(candidates, state: ReferenceHrState) -> list[MaskDecision]:
+def spectral_mask(candidates, state: ReferenceHrState,
+                  band: tuple[float, float] = PULSE_BAND) -> list[MaskDecision]:
     """Accept candidates near the reference HR or its first harmonic.
 
-    A candidate at frequency f_i is accepted iff it lies inside the pulse
-    band [0.7, 4] Hz and either |f_i - f_r| <= 3*sigma (fundamental) or
-    |f_i/2 - f_r| <= 3*sigma (first harmonic, twice the reference).
+    A candidate at frequency f_i is accepted iff it lies inside ``band``
+    (the pulse band [0.7, 4] Hz by default) and either |f_i - f_r| <= 3*sigma
+    (fundamental) or |f_i/2 - f_r| <= 3*sigma (first harmonic, twice the
+    reference).
     """
     if state.f_r is None:
         raise ValueError("reference HR not yet initialized")
@@ -102,7 +115,7 @@ def spectral_mask(candidates, state: ReferenceHrState) -> list[MaskDecision]:
     decisions = []
     for cand in candidates:
         f_i = cand.dominant_freq
-        if not (PULSE_BAND[0] <= f_i <= PULSE_BAND[1]):
+        if not (band[0] <= f_i <= band[1]):
             decisions.append(MaskDecision(False, MaskReason.BAND_REJECT))
         elif abs(f_i - f_r) <= tol:
             decisions.append(MaskDecision(True, MaskReason.FUNDAMENTAL_MATCH))
@@ -123,25 +136,27 @@ class SelectionResult:
 
 def select_candidates(decomposition: SsaDecomposition, fs: float,
                       state: ReferenceHrState,
-                      sec_chn: int = DEFAULT_SEC_CHN) -> SelectionResult:
-    """Apply the spectral mask to the top-``sec_chn`` components.
+                      sec_chn: int = DEFAULT_SEC_CHN,
+                      band: tuple[float, float] = PULSE_BAND) -> SelectionResult:
+    """Apply the spectral mask (pulse ``band``) to the top-``sec_chn``
+    components.
 
     Candidate dominant frequencies are searched over the full spectrum
-    (excluding DC) so that out-of-band components such as residual drift
-    get their true frequency and are band-rejected.  If the mask rejects
+    (excluding DC), all components in one batched call, so that
+    out-of-band components such as residual drift get their true
+    frequency and are band-rejected.  If the mask rejects
     everything, the single component closest to the reference HR is kept
     (flagged) so downstream fusion never receives an empty window.
     """
     if len(decomposition) == 0:
         raise NoComponents("decomposition has no components above the cutoff")
-    full_band = (0.05, fs / 2.0)
-    candidates = []
-    for series, sv in zip(decomposition.components[:sec_chn],
-                          decomposition.singular_values[:sec_chn]):
-        f = dominant_frequency(series, fs, band=full_band)
-        candidates.append(CandidateComponent(series=series, dominant_freq=f,
-                                             singular_value=float(sv)))
-    decisions = spectral_mask(candidates, state)
+    components = decomposition.components[:sec_chn]
+    freqs = dominant_frequencies(components, fs, band=(0.05, fs / 2.0))
+    candidates = [CandidateComponent(series=series, dominant_freq=float(f),
+                                     singular_value=float(sv))
+                  for series, f, sv in zip(components, freqs,
+                                           decomposition.singular_values)]
+    decisions = spectral_mask(candidates, state, band)
     accepted = [c for c, d in zip(candidates, decisions) if d.accepted]
     fallback = False
     if not accepted:

@@ -51,6 +51,20 @@ class TestExtract:
         bad.write_text("# fs=30\n0,1,2\n")
         assert main(["extract", str(bad), str(tmp_path / "out.csv")]) == 2
 
+    @pytest.mark.parametrize("edit, flags", [
+        (lambda lines: lines[:3] + ["2,1.0,nan,1.0"] + lines[4:], []),
+        (lambda lines: ["# fs=inf"] + lines[1:], []),
+        (lambda lines: lines, ["--sec-chn", "0"]),
+        (lambda lines: lines, ["--band-high", "20"]),
+    ], ids=["nan-sample", "fs-inf", "sec-chn-0", "band-above-nyquist"])
+    def test_bad_input_exit_2_without_traceback(self, tmp_path, clean_trace,
+                                                capsys, edit, flags):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(edit(clean_trace.read_text().splitlines())) + "\n")
+        assert main(["extract", str(path), str(tmp_path / "out.csv"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_too_short_trace_exit_3(self, tmp_path):
         path = tmp_path / "short.csv"
         lines = ["# fs=30"] + [f"{i},1,{1 + 0.1 * (i % 7)},1" for i in range(60)]
@@ -79,6 +93,14 @@ class TestEvaluate:
         assert main(["evaluate", str(clean_trace), str(ref), str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert report["mae_bpm"] <= 1.0
+
+    def test_zero_step_exit_2(self, tmp_path, clean_trace):
+        out = tmp_path / "pulse.csv"
+        assert main(["extract", str(clean_trace), str(out)]) == 0
+        ref = tmp_path / "ref.csv"
+        write_reference(ref, 72.0, np.arange(5.0, 56.0, 1.0))
+        assert main(["evaluate", str(out), str(ref), str(tmp_path / "report.json"),
+                     "--step-s", "0.001"]) == 2
 
     def test_unpairable_exit_2(self, tmp_path, clean_trace):
         ref = tmp_path / "ref.csv"

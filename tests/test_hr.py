@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lowlight_rppg import estimate_hr_series, sliding_hr
+from lowlight_rppg import estimate_hr_series, sliding_hr, spectral_peak
 from lowlight_rppg.errors import SeriesTooShort, ZeroSignal
 
 FS = 30.0
@@ -80,3 +80,14 @@ def test_sliding_hr_tracks_tone():
     assert windows[0][0] == 5.0
     for _, bpm in windows:
         assert abs(bpm - 72.0) <= 0.5
+
+
+def test_spectral_peak_rows_match_single_series():
+    rng = np.random.default_rng(3)
+    t = np.arange(300) / FS
+    f0 = rng.uniform(0.8, 3.5, size=40)
+    x = np.sin(2 * np.pi * f0[:, None] * t) + 0.3 * rng.normal(size=(40, 300))
+    peaks = spectral_peak(x, FS, (0.7, 4.0), 8192)
+    assert peaks.shape == (40,)
+    assert [float(spectral_peak(row, FS, (0.7, 4.0), 8192)) for row in x] == peaks.tolist()
+    assert np.all(np.abs(peaks - f0) <= 0.05)

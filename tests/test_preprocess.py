@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.signal import butter, sosfreqz
@@ -151,3 +153,33 @@ class TestBandpass:
         t = np.arange(60) / self.fs
         with pytest.warns(RuntimeWarning):
             bandpass(np.sin(2 * np.pi * 1.5 * t), self.fs)
+
+    def test_short_stack_warns_once_per_call(self):
+        t = np.arange(60) / self.fs
+        x = np.tile(np.sin(2 * np.pi * 1.5 * t), (5, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bandpass(x, self.fs)
+        assert [w.category for w in caught] == [RuntimeWarning]
+
+
+@pytest.mark.parametrize("fs", [30.0, 60.0])
+def test_window_stack_matches_row_by_row_calls(fs):
+    # run_pipeline preprocesses all (n_windows, T) analysis windows in one
+    # call; each row must equal the 1-D call on that window
+    rng = np.random.default_rng(6)
+    win = int(10 * fs)
+    t = np.arange(win) / fs
+    x = (100.0 + np.cumsum(rng.normal(size=(12, win)), axis=1)
+         + np.sin(2 * np.pi * 1.2 * t))
+    detrended = detrend(x, 100.0)
+    filtered = bandpass(detrended, fs)
+    for row, d_row, f_row in zip(x, detrended, filtered):
+        d_ref = detrend(row, 100.0)
+        f_ref = bandpass(d_ref, fs)
+        assert np.max(np.abs(d_row - d_ref)) <= 1e-9 * np.max(np.abs(d_ref))
+        assert np.max(np.abs(f_row - f_ref)) <= 1e-9 * np.max(np.abs(f_ref))
+    stacked = x.reshape(3, 4, win)
+    np.testing.assert_array_equal(detrend(stacked, 100.0).reshape(x.shape), detrended)
+    np.testing.assert_array_equal(bandpass(detrended.reshape(3, 4, win), fs)
+                                  .reshape(x.shape), filtered)

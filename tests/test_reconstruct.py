@@ -5,20 +5,28 @@ from lowlight_rppg import (
     CandidateComponent,
     GaussianWeightParams,
     PipelineConfig,
+    ReferenceHrState,
+    bandpass,
+    decompose,
+    detrend,
     estimate_hr,
     fuse_window,
     gaussian_weight,
     generate,
     overlap_add,
     run_pipeline,
+    select_candidates,
     snr,
     SynthConfig,
+    update_reference,
 )
 from lowlight_rppg.errors import (
+    ConfigError,
     NoAcceptedComponents,
     TraceTooShort,
     WindowSpacingError,
 )
+from lowlight_rppg.ssa import default_window_length
 
 FS = 30.0
 
@@ -122,7 +130,74 @@ class TestOverlapAdd:
             overlap_add([(0, np.ones(299))], window_len=300)
 
 
+def per_window_pipeline(trace, config):
+    """The pipeline one window at a time: per-window preprocessing and a
+    serial update_reference state, as the reference for the batched
+    stages of run_pipeline.  Returns the pulse and per-window (f_r, sigma)."""
+    fs = trace.fs
+    win = int(round(config.window_s * fs))
+    step = int(round(config.step_s * fs))
+    hop = win // 2
+    L = config.ssa_window or default_window_length(win, fs)
+    green = trace.green()
+    state = ReferenceHrState(sigma_fr=config.sigma_init)
+    emitted, refs = [], []
+    for start in range(0, len(trace) - win + 1, step):
+        seg = bandpass(detrend(green[start:start + win], config.lam), fs,
+                       config.band[0], config.band[1])
+        state = update_reference(state, seg, fs, config.band)
+        refs.append((state.f_r, state.sigma_fr))
+        if start % hop == 0:
+            dec = decompose(seg, L, max_components=config.sec_chn)
+            sel = select_candidates(dec, fs, state, config.sec_chn, config.band)
+            params = GaussianWeightParams(mu=state.f_r, sigma=state.sigma_fr)
+            emitted.append((start, fuse_window(sel.accepted, params)))
+    return overlap_add(emitted, win, hop), refs
+
+
 class TestRunPipeline:
+    @pytest.mark.parametrize("fs, duration_s, config", [
+        (30.0, 30.0, PipelineConfig()),
+        (60.0, 30.0, PipelineConfig(band=(0.8, 3.5), sigma_init=0.1, sec_chn=6)),
+        # 71 windows: more than one row block, and a block boundary that
+        # falls between two emitted windows
+        (30.0, 80.0, PipelineConfig()),
+    ])
+    def test_matches_per_window_loop(self, fs, duration_s, config):
+        trace = generate(SynthConfig(hr_bpm=84.0, fs=fs, duration_s=duration_s,
+                                     drift_amp=2.0, noise_rms=(0.8, 0.8, 0.8),
+                                     seed=13))
+        pulse = run_pipeline(trace, config)
+        samples, refs = per_window_pipeline(trace, config)
+        assert [(r.f_r, r.sigma_fr) for r in pulse.window_flags] == refs
+        assert pulse.samples.shape == samples.shape
+        assert (np.max(np.abs(pulse.samples - samples))
+                <= 1e-9 * np.max(np.abs(samples)))
+
+    def test_sigma_init_seeds_the_first_window(self):
+        trace = generate(SynthConfig(hr_bpm=72.0, duration_s=30.0,
+                                     noise_rms=(0.5, 0.5, 0.5), seed=3))
+        pulse = run_pipeline(trace, PipelineConfig(sigma_init=0.5))
+        assert pulse.window_flags[0].sigma_fr == 0.5
+        assert run_pipeline(trace).window_flags[0].sigma_fr == 0.05
+
+    def test_band_reaches_reference_tracking(self):
+        # a band that excludes the 1.2 Hz HR must move the reference HR
+        trace = generate(SynthConfig(hr_bpm=72.0, duration_s=30.0,
+                                     harmonic_ratio=0.0))
+        default = run_pipeline(trace)
+        assert all(abs(r.f_r - 1.2) < 0.05 for r in default.window_flags)
+        moved = run_pipeline(trace, PipelineConfig(band=(1.5, 4.0)))
+        assert all(1.5 <= r.f_r <= 4.0 for r in moved.window_flags)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sec_chn", 0), ("sigma_init", 0.0), ("lam", -1.0), ("window_s", 0.0),
+        ("band", (4.0, 0.7)), ("band", (0.7, float("inf"))),
+    ])
+    def test_config_rejects_out_of_range_values(self, field, value):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**{field: value})
+
     def test_clean_sine_recovers_hr(self):
         trace = generate(SynthConfig(hr_bpm=72.0, duration_s=60.0,
                                      noise_rms=(0.0, 0.0, 0.0)))
@@ -173,6 +248,5 @@ class TestRunPipeline:
 
     def test_step_must_divide_hop(self):
         trace = generate(SynthConfig(hr_bpm=72.0, duration_s=20.0))
-        from lowlight_rppg.errors import ConfigError
         with pytest.raises(ConfigError):
             run_pipeline(trace, PipelineConfig(step_s=1.3))

@@ -67,6 +67,18 @@ class TestUpdateReference:
         assert abs(st.f_r - 1.2) < 0.01
         assert st.sigma_fr == 0.05
 
+    def test_first_window_takes_seeded_sigma(self):
+        t = np.arange(300) / FS
+        st = update_reference(ReferenceHrState(sigma_fr=0.5),
+                              np.sin(2 * np.pi * 1.2 * t), FS)
+        assert st.sigma_fr == 0.5
+
+    def test_band_limits_the_search(self):
+        t = np.arange(300) / FS
+        w = np.sin(2 * np.pi * 1.2 * t) + 0.5 * np.sin(2 * np.pi * 2.4 * t)
+        st = update_reference(ReferenceHrState(), w, FS, band=(1.5, 4.0))
+        assert abs(st.f_r - 2.4) < 0.01
+
     def test_degenerate_history_hits_floor(self):
         t = np.arange(300) / FS
         w = np.sin(2 * np.pi * 1.2 * t)
@@ -100,6 +112,10 @@ class TestSpectralMask:
 
     def test_band_reject(self):
         (d,) = spectral_mask([cand(7.0)], state(3.5, 0.05))
+        assert not d.accepted and d.reason is MaskReason.BAND_REJECT
+
+    def test_band_reject_follows_band(self):
+        (d,) = spectral_mask([cand(1.25)], state(1.2, 0.05), band=(1.5, 4.0))
         assert not d.accepted and d.reason is MaskReason.BAND_REJECT
 
     def test_monotone_in_sigma(self):
@@ -164,6 +180,15 @@ class TestSelectCandidates:
         assert any(abs(c.dominant_freq - 0.4) < 0.1 for c in sel.candidates)
         for c in sel.accepted:
             assert abs(c.dominant_freq - 1.2) < 0.05
+
+    def test_candidate_freqs_match_per_component_search(self):
+        rng = np.random.default_rng(4)
+        t = np.arange(300) / FS
+        x = np.sin(2 * np.pi * 1.2 * t) + 0.5 * rng.normal(size=300)
+        dec = decompose(x, L=100, max_components=10)
+        sel = select_candidates(dec, FS, state(1.2, 0.05))
+        expected = [dominant_frequency(c, FS, band=(0.05, FS / 2)) for c in dec.components]
+        assert [c.dominant_freq for c in sel.candidates] == expected
 
     def test_fallback_returns_nearest(self):
         t = np.arange(300) / FS
