@@ -6,7 +6,7 @@ reconstruction, and FFT heart-rate estimation, plus a synthetic trace
 generator and an SNR/MAE/RMSE evaluation harness.
 """
 
-from .baseline import green_baseline_hr, green_baseline_signal, green_baseline_windows
+from .baseline import green_baseline_hr, green_baseline_signal
 from .hr import HrEstimate, estimate_hr, estimate_hr_series, sliding_hr, spectral_peak
 from .ingest import (
     RawTrace,
@@ -65,5 +65,5 @@ __all__ = [
     "spectral_peak",
     "EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate",
     "SynthConfig", "generate", "illumination_sweep",
-    "green_baseline_signal", "green_baseline_hr", "green_baseline_windows",
+    "green_baseline_signal", "green_baseline_hr",
 ]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hr import HrEstimate, estimate_hr_series, sliding_hr
+from .hr import HrEstimate, estimate_hr_series
 from .ingest import RawTrace
 from .preprocess import DEFAULT_LAMBDA, PULSE_BAND, bandpass, detrend
 
@@ -23,10 +23,3 @@ def green_baseline_hr(trace: RawTrace, lam: float = DEFAULT_LAMBDA,
                       band=PULSE_BAND) -> HrEstimate:
     return estimate_hr_series(green_baseline_signal(trace, lam, band), trace.fs)
 
-
-def green_baseline_windows(trace: RawTrace, win_s: float = 10.0,
-                           step_s: float = 1.0,
-                           lam: float = DEFAULT_LAMBDA) -> list[tuple[float, float]]:
-    """Per-window (t, bpm) estimates from the baseline signal."""
-    return sliding_hr(green_baseline_signal(trace, lam), trace.fs,
-                      win_s=win_s, step_s=step_s)

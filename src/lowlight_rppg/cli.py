@@ -72,8 +72,6 @@ def _add_pipeline_flags(parser) -> None:
     parser.add_argument("--band-low", type=float, default=0.7)
     parser.add_argument("--band-high", type=float, default=4.0)
     parser.add_argument("--sigma-init", type=float, default=0.05)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def save_pulse_csv(pulse: PulseWave, path) -> None:
@@ -146,30 +144,32 @@ def _csv_field_count(path) -> int:
 
 
 def cmd_extract(args) -> int:
+    config = _pipeline_config(args)
     trace = load_trace_csv(args.trace)
-    pulse = run_pipeline(trace, _pipeline_config(args))
+    pulse = run_pipeline(trace, config)
     save_pulse_csv(pulse, args.out)
     base, _ = os.path.splitext(args.out)
     _write_json(base + ".windows.json",
                 [rec.to_dict() for rec in pulse.window_flags])
-    est = estimate_hr(pulse)
+    est = estimate_hr(pulse, band=config.band)
     _write_json(base + ".hr.json",
                 {"bpm": est.bpm, "peak_freq_hz": est.peak_freq})
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
+    config = _pipeline_config(args)
     n_fields = _csv_field_count(args.input)
     if n_fields == 4:
         trace = load_trace_csv(args.input)
-        pulse = run_pipeline(trace, _pipeline_config(args))
+        pulse = run_pipeline(trace, config)
     elif n_fields == 2:
         pulse = load_pulse_csv(args.input)
     else:
         raise ParseError(f"cannot identify input with {n_fields} fields per row")
     ref = load_reference_csv(args.reference)
-    est = sliding_hr(pulse.samples, pulse.fs, win_s=args.window_s,
-                     step_s=args.step_s)
+    est = sliding_hr(pulse.samples, pulse.fs, win_s=config.window_s,
+                     step_s=config.step_s, band=config.band)
     report = metrics.evaluate(pulse.samples, pulse.fs, est, ref)
     _write_json(args.report, report.to_dict())
     return EXIT_OK
@@ -189,27 +189,20 @@ def _sweep_one(config, level, pipe_config):
         config, pulse_amp=tuple(level * a for a in config.pulse_amp))
     trace = synth.generate(cfg)
     hr_ref = config.hr_bpm
-    rows = {}
-
     pulse = run_pipeline(trace, pipe_config)
-    est = sliding_hr(pulse.samples, pulse.fs, win_s=pipe_config.window_s,
-                     step_s=pipe_config.step_s)
-    errs = [bpm - hr_ref for _, bpm in est]
-    rows["proposed"] = (
-        metrics.cap_snr(metrics.snr(pulse.samples, pulse.fs, hr_ref)),
-        float(np.mean(np.abs(errs))),
-        float(np.sqrt(np.mean(np.square(errs)))),
-    )
-
-    sig = baseline.green_baseline_signal(trace, lam=pipe_config.lam)
-    est = sliding_hr(sig, trace.fs, win_s=pipe_config.window_s,
-                     step_s=pipe_config.step_s)
-    errs = [bpm - hr_ref for _, bpm in est]
-    rows["green-baseline"] = (
-        metrics.cap_snr(metrics.snr(sig, trace.fs, hr_ref)),
-        float(np.mean(np.abs(errs))),
-        float(np.sqrt(np.mean(np.square(errs)))),
-    )
+    signals = {
+        "proposed": pulse.samples,
+        "green-baseline": baseline.green_baseline_signal(
+            trace, lam=pipe_config.lam, band=pipe_config.band),
+    }
+    rows = {}
+    for method, sig in signals.items():
+        est = [bpm for _, bpm in sliding_hr(sig, trace.fs, win_s=pipe_config.window_s,
+                                            step_s=pipe_config.step_s,
+                                            band=pipe_config.band)]
+        ref = [hr_ref] * len(est)
+        rows[method] = (metrics.cap_snr(metrics.snr(sig, trace.fs, hr_ref)),
+                        metrics.mae(est, ref), metrics.rmse(est, ref))
     return rows
 
 
@@ -327,6 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=1,
                    help="seeds per level; metrics are medians")
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None,
+                   help="first synthesis seed (default: the config's seed)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -340,10 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # PairingError counts as an input error: it means the supplied reference
-# file does not cover the estimated windows.
+# file does not cover the estimated windows.  UnicodeDecodeError is a file
+# that is not text.
 _INPUT_ERRORS = (ParseError, InvalidHeader, ConfigError, PairingError,
                  FileNotFoundError, IsADirectoryError, PermissionError,
-                 json.JSONDecodeError)
+                 json.JSONDecodeError, UnicodeDecodeError)
 
 
 def main(argv=None) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, SeriesTooShort, ZeroSignal
 from .preprocess import PULSE_BAND
@@ -12,14 +13,19 @@ from .preprocess import PULSE_BAND
 # Zero-pad target: <= 0.11 bpm resolution at fs = 30 Hz.
 _MIN_NFFT = 2**14
 
+# sliding_hr searches this many windows per spectral_peak call: their
+# 2^14-point spectra take about 2 MB, whatever the series length.
+_BLOCK_ROWS = 16
+
 
 def _band_spectrum(x, fs: float, band: tuple[float, float], nfft: int):
     """(freqs, magnitude) of the ``nfft``-point rFFT along the last axis,
-    restricted to the bins inside ``band`` (inclusive)."""
+    restricted to the bins inside ``band`` (inclusive).  A band above
+    the Nyquist frequency holds no bins and is a ConfigError."""
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
     bins = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
     if bins.size == 0:
-        raise ValueError(f"band {band} contains no FFT bins at fs={fs}")
+        raise ConfigError(f"band {band} contains no FFT bins at fs={fs}")
     keep = slice(bins[0], bins[-1] + 1)
     return freqs[keep], np.abs(np.fft.rfft(x, n=nfft, axis=-1)[..., keep])
 
@@ -46,12 +52,22 @@ class HrEstimate:
     spectrum: tuple[np.ndarray, np.ndarray]  # (freqs, power) over the pulse band
 
 
-def estimate_hr_series(samples, fs: float, min_duration_s: float = 10.0) -> HrEstimate:
+def _zscore(x):
+    """Rows of ``x`` (along the last axis) at zero mean and unit std."""
+    x = x - x.mean(axis=-1, keepdims=True)
+    std = x.std(axis=-1, keepdims=True)
+    if np.any(std == 0.0):
+        raise ZeroSignal("constant pulse wave has no spectral peak")
+    return x / std
+
+
+def estimate_hr_series(samples, fs: float, min_duration_s: float = 10.0,
+                       band: tuple[float, float] = PULSE_BAND) -> HrEstimate:
     """HR (bpm) from the spectral power peak of a pulse signal.
 
     The signal is z-score normalized (making the estimate amplitude
     invariant) and zero-padded to at least 2^14 points; HR is 60 times the
-    argmax frequency of the FFT magnitude within [0.7, 4.0] Hz, picked as
+    argmax frequency of the FFT magnitude within ``band`` (Hz), picked as
     in ``spectral_peak``.  Ties break toward the lower frequency (favoring
     the fundamental over a harmonic); no peak interpolation is applied.
     """
@@ -59,34 +75,34 @@ def estimate_hr_series(samples, fs: float, min_duration_s: float = 10.0) -> HrEs
     if x.size < min_duration_s * fs:
         raise SeriesTooShort(
             f"need at least {min_duration_s} s of samples, got {x.size / fs:.2f} s")
-    x = x - x.mean()
-    std = x.std()
-    if std == 0.0:
-        raise ZeroSignal("constant pulse wave has no spectral peak")
-    x = x / std
-    band_freqs, mag = _band_spectrum(x, fs, PULSE_BAND, max(_MIN_NFFT, x.size))
+    band_freqs, mag = _band_spectrum(_zscore(x), fs, band, max(_MIN_NFFT, x.size))
     peak = float(band_freqs[np.argmax(mag)])
     return HrEstimate(bpm=60.0 * peak, peak_freq=peak,
                       spectrum=(band_freqs, mag**2))
 
 
-def estimate_hr(pulse) -> HrEstimate:
+def estimate_hr(pulse, band: tuple[float, float] = PULSE_BAND) -> HrEstimate:
     """HR estimate from a PulseWave (or any object with samples and fs)."""
-    return estimate_hr_series(pulse.samples, pulse.fs)
+    return estimate_hr_series(pulse.samples, pulse.fs, band=band)
 
 
-def sliding_hr(samples, fs: float, win_s: float = 10.0,
-               step_s: float = 1.0) -> list[tuple[float, float]]:
-    """Per-window HR estimates as (window center time, bpm) pairs."""
+def sliding_hr(samples, fs: float, win_s: float = 10.0, step_s: float = 1.0,
+               band: tuple[float, float] = PULSE_BAND) -> list[tuple[float, float]]:
+    """Per-window HR estimates as (window center time, bpm) pairs.
+
+    Each window is estimated as by ``estimate_hr_series``; the window
+    stack is z-scored and searched by ``spectral_peak`` in blocks of
+    ``_BLOCK_ROWS`` rows.
+    """
     x = np.asarray(samples, dtype=float)
     win = int(round(win_s * fs))
     step = int(round(step_s * fs))
     if win < 1 or step < 1:
         raise ConfigError(f"window ({win}) and step ({step}) must be at least one sample")
-    if x.size < win:
+    if x.size < win or win < win_s * fs:
         raise SeriesTooShort(f"need at least {win_s} s of samples")
-    out = []
-    for start in range(0, x.size - win + 1, step):
-        est = estimate_hr_series(x[start:start + win], fs, min_duration_s=win_s)
-        out.append((start / fs + win_s / 2.0, est.bpm))
-    return out
+    windows = sliding_window_view(x, win)[::step]
+    nfft = max(_MIN_NFFT, win)
+    peaks = np.concatenate([spectral_peak(_zscore(windows[b:b + _BLOCK_ROWS]), fs, band, nfft)
+                            for b in range(0, len(windows), _BLOCK_ROWS)])
+    return [(i * step / fs + win_s / 2.0, 60.0 * float(f)) for i, f in enumerate(peaks)]

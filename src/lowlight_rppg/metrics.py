@@ -23,6 +23,10 @@ def snr(series, fs: float, hr_ref_bpm: float) -> float:
     harmonic (both clipped to [0.7, 4] Hz), and P_out is the remaining
     power inside [0.7, 4] Hz.  Returns +inf when the residual power is
     exactly zero; reports cap that at SNR_CAP_DB.
+
+    The [0.7, 4] Hz band is part of the metric's definition and does not
+    follow a configured pulse band, so SNR values stay comparable across
+    configurations.
     """
     f_ref = hr_ref_bpm / 60.0
     if not (PULSE_BAND[0] <= f_ref <= PULSE_BAND[1]):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lowlight_rppg import SynthConfig, generate, save_trace_csv
+from lowlight_rppg import RawTrace, SynthConfig, generate, save_trace_csv
 from lowlight_rppg.cli import load_pulse_csv, main
 
 
@@ -42,6 +42,22 @@ class TestExtract:
         assert pulse.fs == 30.0
         assert len(pulse.samples) > 0
 
+    @pytest.mark.filterwarnings("ignore:series of 300 samples")
+    def test_band_reaches_hr_estimate(self, tmp_path):
+        # a 36 bpm (0.6 Hz) pulse lies below the default band
+        t = np.arange(1800) / 30.0
+        green = 100.0 + np.sin(2 * np.pi * 0.6 * t)
+        path = tmp_path / "slow.csv"
+        save_trace_csv(RawTrace(samples=np.column_stack([np.full_like(t, 100.0), green,
+                                                         np.full_like(t, 100.0)]),
+                                fs=30.0), path)
+        out = tmp_path / "pulse.csv"
+        assert main(["extract", str(path), str(out)]) == 0
+        assert json.loads((tmp_path / "pulse.hr.json").read_text())["bpm"] >= 42.0
+        assert main(["extract", str(path), str(out), "--band-low", "0.5"]) == 0
+        bpm = json.loads((tmp_path / "pulse.hr.json").read_text())["bpm"]
+        assert abs(bpm - 36.0) <= 0.2
+
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["extract", str(tmp_path / "nope.csv"),
                      str(tmp_path / "out.csv")]) == 2
@@ -64,6 +80,12 @@ class TestExtract:
         assert main(["extract", str(path), str(tmp_path / "out.csv"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_binary_input_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"# fs=30\n\x80\xff,1,2,3\n")
+        assert main(["extract", str(path), str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_too_short_trace_exit_3(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -101,6 +123,15 @@ class TestEvaluate:
         write_reference(ref, 72.0, np.arange(5.0, 56.0, 1.0))
         assert main(["evaluate", str(out), str(ref), str(tmp_path / "report.json"),
                      "--step-s", "0.001"]) == 2
+
+    def test_pulse_below_band_nyquist_exit_2(self, tmp_path, capsys):
+        # at fs = 1 Hz the default band holds no FFT bins
+        pulse = tmp_path / "pulse.csv"
+        pulse.write_text("# fs=1\n" + "".join(f"{i},{np.sin(i)}\n" for i in range(30)))
+        ref = tmp_path / "ref.csv"
+        write_reference(ref, 72.0, np.arange(5.0, 26.0, 1.0))
+        assert main(["evaluate", str(pulse), str(ref), str(tmp_path / "report.json")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unpairable_exit_2(self, tmp_path, clean_trace):
         ref = tmp_path / "ref.csv"
@@ -157,6 +188,26 @@ class TestSweep:
         assert main(["sweep", str(cfg), str(a)] + args) == 0
         assert main(["sweep", str(cfg), str(b)] + args) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_config_seed_is_kept_without_flag(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "hr_bpm": 72.0, "duration_s": 20.0,
+            "noise_rms": [1.0, 1.0, 1.0], "seed": 5,
+        }))
+        reports = {}
+        for name, flags in [("config", []), ("seed5", ["--seed", "5"]),
+                            ("seed0", ["--seed", "0"])]:
+            reports[name] = tmp_path / f"{name}.csv"
+            assert main(["sweep", str(cfg), str(reports[name]),
+                         "--levels", "0.5", *flags]) == 0
+        assert reports["config"].read_bytes() == reports["seed5"].read_bytes()
+        assert reports["config"].read_bytes() != reports["seed0"].read_bytes()
+
+    def test_seed_and_format_only_on_sweep(self, tmp_path, clean_trace, capsys):
+        with pytest.raises(SystemExit):
+            main(["extract", str(clean_trace), str(tmp_path / "out.csv"), "--seed", "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestAnalyze:

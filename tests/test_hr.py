@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from lowlight_rppg import estimate_hr_series, sliding_hr, spectral_peak
-from lowlight_rppg.errors import SeriesTooShort, ZeroSignal
+from lowlight_rppg import (
+    SynthConfig,
+    estimate_hr_series,
+    generate,
+    green_baseline_signal,
+    run_pipeline,
+    sliding_hr,
+    spectral_peak,
+)
+from lowlight_rppg.errors import ConfigError, SeriesTooShort, ZeroSignal
 
 FS = 30.0
 
@@ -91,3 +99,47 @@ def test_spectral_peak_rows_match_single_series():
     assert peaks.shape == (40,)
     assert [float(spectral_peak(row, FS, (0.7, 4.0), 8192)) for row in x] == peaks.tolist()
     assert np.all(np.abs(peaks - f0) <= 0.05)
+
+
+def per_window_sliding_hr(x, fs, win_s=10.0, step_s=1.0):
+    """sliding_hr one window at a time, as the reference for its batching."""
+    win, step = int(round(win_s * fs)), int(round(step_s * fs))
+    return [(start / fs + win_s / 2.0,
+             estimate_hr_series(x[start:start + win], fs, min_duration_s=win_s).bpm)
+            for start in range(0, x.size - win + 1, step)]
+
+
+@pytest.mark.parametrize("signal", ["green-baseline", "pipeline-pulse"])
+def test_sliding_hr_equals_per_window_loop(signal):
+    # 80 s: 71 windows, more than one row block of the window stack
+    trace = generate(SynthConfig(hr_bpm=84.0, duration_s=80.0, drift_amp=2.0,
+                                 noise_rms=(1.0, 1.0, 1.0), seed=4))
+    if signal == "green-baseline":
+        x = green_baseline_signal(trace)
+    else:
+        x = run_pipeline(trace).samples
+    windows = sliding_hr(x, FS)
+    assert len(windows) == 71
+    assert windows == per_window_sliding_hr(x, FS)
+
+
+def test_sliding_hr_errors():
+    t = np.arange(600) / FS
+    with pytest.raises(SeriesTooShort):
+        sliding_hr(np.sin(t), FS, win_s=30.0)
+    with pytest.raises(ConfigError):
+        sliding_hr(np.sin(t), FS, step_s=0.01)
+    x = np.sin(t)
+    x[300:] = 1.0  # the last windows are constant
+    with pytest.raises(ZeroSignal):
+        sliding_hr(x, FS)
+
+
+def test_band_below_default_reaches_hr():
+    # a 0.6 Hz (36 bpm) tone lies outside the default [0.7, 4] Hz band
+    t = np.arange(1800) / FS
+    x = np.sin(2 * np.pi * 0.6 * t)
+    assert estimate_hr_series(x, FS).bpm >= 42.0
+    assert abs(estimate_hr_series(x, FS, band=(0.5, 4.0)).bpm - 36.0) <= 0.2
+    for _, bpm in sliding_hr(x, FS, band=(0.5, 4.0)):
+        assert abs(bpm - 36.0) <= 0.5

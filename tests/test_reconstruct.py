@@ -26,6 +26,7 @@ from lowlight_rppg.errors import (
     TraceTooShort,
     WindowSpacingError,
 )
+from lowlight_rppg import ssa
 from lowlight_rppg.ssa import default_window_length
 
 FS = 30.0
@@ -173,6 +174,21 @@ class TestRunPipeline:
         assert pulse.samples.shape == samples.shape
         assert (np.max(np.abs(pulse.samples - samples))
                 <= 1e-9 * np.max(np.abs(samples)))
+
+    @pytest.mark.parametrize("fs", [30.0, 60.0])
+    def test_truncated_svd_keeps_records_of_full_svd(self, fs, monkeypatch):
+        trace = generate(SynthConfig(hr_bpm=96.0, fs=fs, duration_s=30.0,
+                                     drift_amp=2.0, noise_rms=(1.0, 1.0, 1.0),
+                                     seed=21))
+        pulse = run_pipeline(trace)
+        full_svd = ssa.svd_components
+        monkeypatch.setattr(ssa, "svd_components", lambda X, k=None: full_svd(X))
+        full = run_pipeline(trace)
+        fields = lambda r: (r.f_r, r.sigma_fr, r.n_accepted, r.fallback, r.emitted)
+        assert [fields(r) for r in pulse.window_flags] == \
+            [fields(r) for r in full.window_flags]
+        assert (np.max(np.abs(pulse.samples - full.samples))
+                <= 1e-9 * np.max(np.abs(full.samples)))
 
     def test_sigma_init_seeds_the_first_window(self):
         trace = generate(SynthConfig(hr_bpm=72.0, duration_s=30.0,

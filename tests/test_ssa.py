@@ -87,6 +87,77 @@ class TestSvdComponents:
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
+def _rank_k_sum(triples):
+    return sum(s * np.outer(u, v) for s, u, v in triples)
+
+
+def _sinusoid_hankel(freqs, T=300, L=100, fs=30.0):
+    t = np.arange(T) / fs
+    return hankel_embed(sum(np.sin(2 * np.pi * f * t) for f in freqs), L)
+
+
+class TestTruncatedSvd:
+    """The top-k route (2k <= L <= K) against the full SVD."""
+
+    @pytest.mark.parametrize("X, k", [
+        (np.random.default_rng(10).normal(size=(40, 81)), 5),
+        (np.random.default_rng(11).normal(size=(100, 201)), 10),
+        # two tones 0.05 Hz apart: their singular values nearly coincide
+        (_sinusoid_hankel([1.2, 1.25]), 4),
+    ], ids=["40x81", "100x201", "near-degenerate-pair"])
+    def test_matches_full_svd(self, X, k):
+        full = svd_components(X)[:k]
+        top = svd_components(X, k)
+        assert len(top) == k
+        s_full = np.array([s for s, _, _ in full])
+        s_top = np.array([s for s, _, _ in top])
+        assert np.max(np.abs(s_top - s_full) / s_full) <= 1e-12
+        assert np.max(np.abs(_rank_k_sum(top) - _rank_k_sum(full))) <= 1e-10 * np.max(np.abs(X))
+        for _, u, v in top:
+            assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tone_over_noise_below_the_eigh_resolution(self, seed):
+        # the noise triples sit near 1e-11 sigma_max: above SV_CUTOFF but
+        # below what eigh of X X' can separate (about 1.5e-8 sigma_max)
+        t = np.arange(300) / 30.0
+        x = (np.sin(2 * np.pi * 1.2 * t)
+             + 1e-10 * np.random.default_rng(seed).normal(size=t.size))
+        X = hankel_embed(x, 100)
+        full = svd_components(X)[:10]
+        top = svd_components(X, 10)
+        assert len(top) == len(full) == 10
+        assert np.max(np.abs(_rank_k_sum(top) - _rank_k_sum(full))) <= 1e-8 * np.max(np.abs(X))
+        for (s_top, _, _), (s_full, _, _) in zip(top[:2], full[:2]):
+            assert abs(s_top - s_full) <= 1e-12 * s_full
+
+    @pytest.mark.parametrize("shape, k", [((81, 40), 7), ((40, 81), 21)],
+                             ids=["tall", "k-above-half-L"])
+    def test_other_shapes_take_the_full_svd(self, shape, k):
+        X = np.random.default_rng(12).normal(size=shape)
+        top = svd_components(X, k)
+        assert len(top) == k
+        for (s_top, u_top, v_top), (s_full, u_full, v_full) in zip(top, svd_components(X)):
+            assert s_top == s_full
+            assert np.array_equal(u_top, u_full) and np.array_equal(v_top, v_full)
+
+    @pytest.mark.parametrize("X, n", [
+        (_sinusoid_hankel([1.2]), 2),
+        (_sinusoid_hankel([1.2, 2.4]), 4),
+        (np.zeros((100, 201)), 0),
+    ], ids=["rank-2", "rank-4", "zero"])
+    def test_cutoff_keeps_the_same_triples(self, X, n):
+        assert len(svd_components(X)) == len(svd_components(X, 10)) == n
+
+    @pytest.mark.parametrize("k", [20, 21, 100])
+    def test_k_at_least_min_dim_is_the_full_svd(self, k):
+        X = np.random.default_rng(13).normal(size=(20, 45))
+        triples = svd_components(X, k)
+        assert len(triples) == 20
+        assert np.linalg.norm(_rank_k_sum(triples) - X) / np.linalg.norm(X) < 1e-10
+
+
 class TestDiagonalAverage:
     def test_three_point_definition(self):
         assert diagonal_average([[1, 3], [5, 7]]).tolist() == [1, 4, 7]
