@@ -46,7 +46,7 @@ from .ssa import (
     hankel_embed,
     svd_components,
 )
-from .synth import SynthConfig, generate, illumination_sweep
+from .synth import SynthConfig, attenuate, generate, illumination_sweep
 
 __version__ = "0.1.0"
 
@@ -64,6 +64,6 @@ __all__ = [
     "HrEstimate", "estimate_hr", "estimate_hr_series", "sliding_hr",
     "spectral_peak",
     "EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate",
-    "SynthConfig", "generate", "illumination_sweep",
+    "SynthConfig", "attenuate", "generate", "illumination_sweep",
     "green_baseline_signal", "green_baseline_hr",
 ]

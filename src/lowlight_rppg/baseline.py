@@ -21,5 +21,7 @@ def green_baseline_signal(trace: RawTrace, lam: float = DEFAULT_LAMBDA,
 
 def green_baseline_hr(trace: RawTrace, lam: float = DEFAULT_LAMBDA,
                       band=PULSE_BAND) -> HrEstimate:
-    return estimate_hr_series(green_baseline_signal(trace, lam, band), trace.fs)
+    """HR of the baseline signal, searched over ``band``."""
+    return estimate_hr_series(green_baseline_signal(trace, lam, band), trace.fs,
+                              band=band)
 

@@ -114,7 +114,8 @@ def load_pulse_csv(path) -> PulseWave:
 
 
 def load_reference_csv(path) -> list[tuple[float, float]]:
-    """Reference HR CSV: ``t_seconds,bpm`` rows, ``#`` comments allowed."""
+    """Reference HR CSV: ``t_seconds,bpm`` rows, ``#`` comments allowed.
+    A NaN or infinite value is a ParseError naming its line."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -125,9 +126,12 @@ def load_reference_csv(path) -> list[tuple[float, float]]:
             if len(parts) != 2:
                 raise ParseError(f"expected 2 fields, got {len(parts)}", lineno)
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                row = (float(parts[0]), float(parts[1]))
             except ValueError:
                 raise ParseError(f"non-numeric value in {line!r}", lineno)
+            if not all(np.isfinite(row)):
+                raise ParseError(f"non-finite value in {line!r}", lineno)
+            rows.append(row)
     if not rows:
         raise ParseError("reference file has no data rows")
     return rows
@@ -183,12 +187,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(config, level, pipe_config):
-    """Metrics for both methods at one attenuation level, one seed."""
-    cfg = dataclasses.replace(
-        config, pulse_amp=tuple(level * a for a in config.pulse_amp))
+def _sweep_one(cfg, pipe_config):
+    """Metrics for both methods on one attenuated synthetic config."""
     trace = synth.generate(cfg)
-    hr_ref = config.hr_bpm
+    hr_ref = cfg.hr_bpm
     pulse = run_pipeline(trace, pipe_config)
     signals = {
         "proposed": pulse.samples,
@@ -208,18 +210,17 @@ def _sweep_one(config, level, pipe_config):
 
 def sweep_report(config, levels, pipe_config, n_seeds: int = 1,
                  jobs: int = 1) -> list[dict]:
-    """One row per (level, method); metrics are medians over seeds."""
-    tasks = []
-    for level in levels:
-        for k in range(n_seeds):
-            cfg = dataclasses.replace(config, seed=config.seed + k)
-            tasks.append((cfg, level))
+    """One row per (level, method); metrics are medians over seeds.
+
+    Every level is checked (``synth.attenuate``) before any task starts.
+    """
+    tasks = [synth.attenuate(dataclasses.replace(config, seed=config.seed + k), level)
+             for level in levels for k in range(n_seeds)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda t: _sweep_one(t[0], t[1], pipe_config), tasks))
+            results = list(pool.map(lambda cfg: _sweep_one(cfg, pipe_config), tasks))
     else:
-        results = [_sweep_one(cfg, level, pipe_config) for cfg, level in tasks]
+        results = [_sweep_one(cfg, pipe_config) for cfg in tasks]
 
     rows = []
     for i, level in enumerate(levels):
@@ -280,10 +281,14 @@ def cmd_analyze(args) -> int:
 
     sig = baseline.green_baseline_signal(trace, lam=config.lam, band=config.band)
     est = baseline.green_baseline_hr(trace, lam=config.lam, band=config.band)
+    try:
+        snr_db = metrics.cap_snr(metrics.snr(sig, trace.fs, est.bpm))
+    except ConfigError:
+        snr_db = None  # peak outside the SNR metric's fixed [0.7, 4] Hz band
     _write_json(os.path.join(args.outdir, "peaks.json"), {
         "peak_freq_hz": est.peak_freq,
         "bpm": est.bpm,
-        "snr_db": metrics.cap_snr(metrics.snr(sig, trace.fs, est.bpm)),
+        "snr_db": snr_db,
     })
     return EXIT_OK
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import ConfigError, PairingError, SeriesTooShort
 from .preprocess import PULSE_BAND
@@ -31,10 +30,7 @@ def snr(series, fs: float, hr_ref_bpm: float) -> float:
     f_ref = hr_ref_bpm / 60.0
     if not (PULSE_BAND[0] <= f_ref <= PULSE_BAND[1]):
         raise ConfigError(f"reference HR {hr_ref_bpm} bpm outside the pulse band")
-    x = np.asarray(series, dtype=float)
-    x = x - x.mean()
-    power = np.abs(np.fft.rfft(x)) ** 2
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / fs)
+    freqs, power = spectrum(series, fs)
     in_band = (freqs >= PULSE_BAND[0]) & (freqs <= PULSE_BAND[1])
     sig = (np.abs(freqs - f_ref) <= FUND_HALFWIDTH_HZ) | \
           (np.abs(freqs - 2.0 * f_ref) <= HARM_HALFWIDTH_HZ)
@@ -81,8 +77,11 @@ def spectrogram(series, fs: float, win_s: float = 10.0, hop_s: float = 1.0,
     """Hann-windowed short-time FFT power, band-limited for plotting.
 
     Returns (times, freqs, power) with power of shape (n_slices, n_freqs)
-    and freqs limited to [0, max_freq] Hz.
+    and freqs limited to [0, max_freq] Hz.  Only ``analyze`` needs it, so
+    ``scipy.signal`` is imported here rather than with the package.
     """
+    from scipy import signal as sps
+
     x = np.asarray(series, dtype=float)
     nperseg = int(round(win_s * fs))
     if x.size < nperseg:
@@ -99,7 +98,7 @@ def pair_by_timestamp(est_windows, ref_windows, tol_s: float = 0.5):
     """Pair (t, bpm) estimates with references by nearest timestamp.
 
     Every estimate must find a reference within ``tol_s`` seconds,
-    otherwise a PairingError is raised.
+    otherwise a PairingError is raised; a NaN time is never within it.
     """
     if not est_windows or not ref_windows:
         raise PairingError("empty estimate or reference sequence")
@@ -108,7 +107,7 @@ def pair_by_timestamp(est_windows, ref_windows, tol_s: float = 0.5):
     pairs = []
     for t, v in est_windows:
         i = int(np.argmin(np.abs(ref_t - t)))
-        if abs(ref_t[i] - t) > tol_s:
+        if not abs(ref_t[i] - t) <= tol_s:
             raise PairingError(f"no reference within {tol_s} s of t={t:.2f} s")
         pairs.append((float(t), float(v), float(ref_v[i])))
     return pairs

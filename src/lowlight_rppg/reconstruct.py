@@ -6,7 +6,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal.windows import hann
 
 from .errors import (
     ConfigError,
@@ -77,6 +76,8 @@ def overlap_add(windows, window_len: int, hop: int | None = None) -> np.ndarray:
     spaced exactly ``hop`` apart with hop = window_len / 2.  The periodic
     Hann window at 50% hop satisfies constant overlap-add with sum 1.0,
     so the interior of a constant stream reconstructs the constant.
+    The taper is ``0.5 - 0.5 cos(2 pi k / window_len)``, the periodic
+    (``sym=False``) Hann window.
     """
     if hop is None:
         hop = window_len // 2
@@ -89,7 +90,7 @@ def overlap_add(windows, window_len: int, hop: int | None = None) -> np.ndarray:
     for a, b in zip(starts, starts[1:]):
         if b - a != hop:
             raise WindowSpacingError(f"window starts {a} and {b} are not {hop} apart")
-    taper = hann(window_len, sym=False)
+    taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_len) / window_len)
     out = np.zeros(starts[-1] + window_len)
     for start, vec in windows:
         vec = np.asarray(vec, dtype=float)

@@ -100,21 +100,24 @@ def generate(config: SynthConfig) -> RawTrace:
     return RawTrace(samples=samples, fs=config.fs)
 
 
+def attenuate(base: SynthConfig, level: float) -> SynthConfig:
+    """``base`` with its pulse amplitude scaled by the attenuation factor
+    ``level``, which must lie in (0, 1].
+
+    Illuminance scales the signal, not the sensor noise, so noise_rms,
+    quantization_step and the seed are kept.
+    """
+    if not (0.0 < level <= 1.0):
+        raise ConfigError(f"attenuation factor {level} outside (0, 1]")
+    return dataclasses.replace(base, pulse_amp=tuple(level * x for x in base.pulse_amp))
+
+
 def illumination_sweep(base: SynthConfig, levels) -> list[RawTrace]:
     """Traces with pulse amplitude scaled per attenuation level.
 
-    Illuminance scales the signal, not the sensor noise, so noise_rms and
-    quantization_step are held fixed.  The same seed is reused at every
-    level, which makes level 1.0 identical to generate(base) and keeps the
-    noise realization shared across levels.
+    Every level is checked before any trace is made.  The same seed is
+    reused at every level, which makes level 1.0 identical to
+    generate(base) and keeps the noise realization shared across levels.
     """
-    levels = list(levels)
-    for a in levels:
-        if not (0.0 < a <= 1.0):
-            raise ConfigError(f"attenuation factor {a} outside (0, 1]")
-    traces = []
-    for a in levels:
-        cfg = dataclasses.replace(
-            base, pulse_amp=tuple(a * x for x in base.pulse_amp))
-        traces.append(generate(cfg))
-    return traces
+    configs = [attenuate(base, a) for a in levels]
+    return [generate(cfg) for cfg in configs]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import lowlight_rppg
 
 from lowlight_rppg import RawTrace, SynthConfig, generate, save_trace_csv
 from lowlight_rppg.cli import load_pulse_csv, main
@@ -139,6 +144,18 @@ class TestEvaluate:
         assert main(["evaluate", str(clean_trace), str(ref),
                      str(tmp_path / "report.json")]) == 2
 
+    @pytest.mark.parametrize("rows", [["nan,72"], ["5,72", "6,inf"], ["-inf,72"]],
+                             ids=["nan-time", "inf-bpm", "minus-inf-time"])
+    def test_non_finite_reference_exit_2(self, tmp_path, clean_trace, capsys, rows):
+        # a NaN reference time used to pair with every window
+        ref = tmp_path / "ref.csv"
+        ref.write_text("# t,bpm\n" + "\n".join(rows) + "\n")
+        report = tmp_path / "report.json"
+        assert main(["evaluate", str(clean_trace), str(ref), str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(rows) + 1}: non-finite value" in err
+        assert not report.exists()
+
 
 class TestSynthCommand:
     def test_generates_loadable_trace(self, tmp_path, clean_config):
@@ -204,6 +221,16 @@ class TestSweep:
         assert reports["config"].read_bytes() == reports["seed5"].read_bytes()
         assert reports["config"].read_bytes() != reports["seed0"].read_bytes()
 
+    @pytest.mark.parametrize("levels", ["2.0", "0", "-1", "1.0,nan", "0.5,1.5"])
+    def test_bad_level_exit_2_before_any_task(self, tmp_path, clean_config,
+                                              monkeypatch, levels):
+        from lowlight_rppg import synth
+        made = []
+        monkeypatch.setattr(synth, "generate", lambda cfg: made.append(cfg))
+        report = tmp_path / "report.csv"
+        assert main(["sweep", str(clean_config), str(report), "--levels", levels]) == 2
+        assert made == [] and not report.exists()
+
     def test_seed_and_format_only_on_sweep(self, tmp_path, clean_trace, capsys):
         with pytest.raises(SystemExit):
             main(["extract", str(clean_trace), str(tmp_path / "out.csv"), "--seed", "1"])
@@ -222,3 +249,40 @@ class TestAnalyze:
         assert all(float(h) <= 5.0 for h in header[1:])
         peaks = json.loads((outdir / "peaks.json").read_text())
         assert abs(peaks["bpm"] - 72.0) <= 0.5
+        assert peaks["snr_db"] > 0
+
+    @pytest.mark.filterwarnings("ignore:series of 300 samples")
+    def test_band_reaches_peak_and_snr_is_null_outside_metric_band(self, tmp_path):
+        # a 36 bpm (0.6 Hz) tone: SynthConfig rejects HRs below 42 bpm
+        t = np.arange(1800) / 30.0
+        green = 100.0 + np.sin(2 * np.pi * 0.6 * t)
+        path = tmp_path / "slow.csv"
+        flat = np.full_like(t, 100.0)
+        save_trace_csv(RawTrace(samples=np.column_stack([flat, green, flat]), fs=30.0),
+                       path)
+        outdir = tmp_path / "analysis"
+        assert main(["analyze", str(path), str(outdir), "--band-low", "0.5"]) == 0
+        peaks = json.loads((outdir / "peaks.json").read_text())
+        assert abs(peaks["bpm"] - 36.0) <= 0.2
+        assert peaks["snr_db"] is None
+
+
+def test_extract_evaluate_sweep_do_not_load_scipy_signal(tmp_path, clean_config):
+    # scipy.signal costs most of the package's import time; only analyze
+    # (its spectrogram) may load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lowlight_rppg.__file__)))
+    d, cfg = str(tmp_path), str(clean_config)
+    (tmp_path / "ref.csv").write_text("".join(f"{t},72\n" for t in range(5, 56)))
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+from lowlight_rppg.cli import main
+codes = [main(["synth", {cfg!r}, {d!r} + "/trace.csv"]),
+         main(["extract", {d!r} + "/trace.csv", {d!r} + "/pulse.csv"]),
+         main(["evaluate", {d!r} + "/trace.csv", {d!r} + "/ref.csv", {d!r} + "/r.json"]),
+         main(["sweep", {cfg!r}, {d!r} + "/s.csv", "--levels", "1.0,0.5"])]
+print(codes, "scipy.signal" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[0, 0, 0, 0] False"

@@ -122,3 +122,22 @@ class TestEvaluate:
     def test_unpairable_raises(self):
         with pytest.raises(PairingError):
             pair_by_timestamp([(5.0, 72.0)], [(9.0, 70.0)], tol_s=0.5)
+
+    @pytest.mark.parametrize("est, ref", [
+        ([(5.0, 72.0)], [(np.nan, 72.0)]),
+        ([(np.nan, 72.0)], [(5.0, 72.0)]),
+        ([(5.0, 72.0)], [(np.nan, 72.0), (5.0, 70.0)]),
+    ], ids=["nan-reference-time", "nan-estimate-time", "nan-first-of-two"])
+    def test_nan_time_never_pairs(self, est, ref):
+        with pytest.raises(PairingError):
+            pair_by_timestamp(est, ref)
+
+    def test_snr_matches_its_definition_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        x = np.sin(2 * np.pi * 1.2 * np.arange(1800) / FS) + rng.normal(size=1800)
+        power = np.abs(np.fft.rfft(x - x.mean())) ** 2
+        freqs = np.fft.rfftfreq(x.size, d=1.0 / FS)
+        in_band = (freqs >= 0.7) & (freqs <= 4.0)
+        sig = (np.abs(freqs - 1.2) <= 0.1) | (np.abs(freqs - 2.4) <= 0.2)
+        expected = 10 * np.log10(power[in_band & sig].sum() / power[in_band & ~sig].sum())
+        assert snr(x, FS, 72.0) == expected

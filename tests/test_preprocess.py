@@ -2,10 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.signal import butter, sosfreqz
+from scipy.signal import butter, sosfiltfilt, sosfreqz
 
 from lowlight_rppg import bandpass, detrend
 from lowlight_rppg.errors import NonFiniteInput, NyquistViolation, SeriesTooShort
+from lowlight_rppg.preprocess import _settling_length, butter_bandpass_sos
+
+GRID_FS = (25.0, 30.0, 60.0, 120.0)
+# (0.7, 11) gives a section with two real poles at every odd order
+GRID_BANDS = ((0.7, 4.0), (0.5, 3.0), (1.0, 2.0), (0.7, 11.0))
+GRID_ORDERS = (1, 2, 3, 4)
 
 
 def dense_detrend_oracle(x, lam):
@@ -183,3 +189,114 @@ def test_window_stack_matches_row_by_row_calls(fs):
     np.testing.assert_array_equal(detrend(stacked, 100.0).reshape(x.shape), detrended)
     np.testing.assert_array_equal(bandpass(detrended.reshape(3, 4, win), fs)
                                   .reshape(x.shape), filtered)
+
+
+def window_like(fs, shape, seed=1):
+    """Noise, an in-band tone and a slow drift: what bandpass gets after
+    detrend in run_pipeline."""
+    t = np.arange(shape[-1]) / fs
+    return (np.random.default_rng(seed).normal(size=shape) + np.sin(2 * np.pi * 1.3 * t)
+            + 2.0 * np.sin(2 * np.pi * 0.05 * t + 1.0))
+
+
+def scipy_bandpass(x, fs, band, order):
+    sos = butter(order, band, btype="bandpass", output="sos", fs=fs)
+    padlen = min(x.shape[-1] - 1, 3 * _settling_length(sos))
+    return sosfiltfilt(sos, x, axis=-1, padtype="odd", padlen=padlen)
+
+
+@pytest.mark.parametrize("band", GRID_BANDS)
+@pytest.mark.parametrize("fs", GRID_FS)
+def test_matches_sosfiltfilt(fs, band):
+    for order in GRID_ORDERS:
+        settle = _settling_length(butter_bandpass_sos(order, *band, fs))
+        # 10 s, a stack of 60 s rows, and two short series whose
+        # padding is n - 1 samples
+        for shape in [(int(10 * fs),), (3, int(60 * fs)), (settle,), (2, 3 * settle - 5)]:
+            x = window_like(fs, shape)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                y = bandpass(x, fs, band[0], band[1], order)
+            ref = scipy_bandpass(x, fs, band, order)
+            assert y.shape == x.shape
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), (order, shape)
+
+
+@pytest.mark.parametrize("band", GRID_BANDS)
+@pytest.mark.parametrize("fs", GRID_FS)
+def test_design_matches_butter_response(fs, band):
+    w = np.linspace(0.0, fs / 2, 2001)
+    for order in GRID_ORDERS:
+        sos = butter_bandpass_sos(order, *band, fs)
+        assert sos.shape == (order, 6)
+        np.testing.assert_array_equal(sos[1:, :3], np.tile([1.0, 0.0, -1.0], (order - 1, 1)))
+        assert sos[0, 0] > 0 and sos[0, 1] == 0.0 and sos[0, 2] == -sos[0, 0]
+        # pairing may differ from scipy's, so compare responses
+        _, h = sosfreqz(sos, worN=w, fs=fs)
+        _, h_ref = sosfreqz(butter(order, band, btype="bandpass", output="sos", fs=fs),
+                            worN=w, fs=fs)
+        assert np.max(np.abs(h - h_ref)) <= 1e-12
+
+
+def test_design_has_real_pole_section_for_wide_band():
+    sos = butter_bandpass_sos(3, 0.7, 11.0, 30.0)
+    disc = sos[:, 4] ** 2 / 4 - sos[:, 5]
+    assert np.sum(disc >= 0) == 1
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5])
+def test_bad_order_raises(order):
+    with pytest.raises(ValueError):
+        bandpass(np.zeros(600), 30.0, order=order)
+
+
+def extended_filtfilt(sos, x, padlen):
+    """sosfiltfilt's definition run in extended precision: odd padding,
+    per-section steady-state initial conditions, transposed direct form
+    II sections, forward then backward."""
+    ld = np.longdouble
+    sos = sos.astype(ld)
+
+    def one_pass(u):
+        scale = u[:, :1]  # the steady state for a constant first sample
+        for b0, b1, b2, _, a1, a2 in sos:
+            gain = (b0 + b1 + b2) / (1 + a1 + a2)
+            s2 = (b2 - a2 * gain) * scale
+            s1 = (b1 - a1 * gain) * scale + s2
+            out = np.empty_like(u)
+            for t in range(u.shape[1]):
+                out[:, t:t + 1] = b0 * u[:, t:t + 1] + s1
+                s1 = b1 * u[:, t:t + 1] - a1 * out[:, t:t + 1] + s2
+                s2 = b2 * u[:, t:t + 1] - a2 * out[:, t:t + 1]
+            u, scale = out, gain * scale
+        return u
+
+    x = x.astype(ld)
+    ext = np.concatenate([2 * x[:, :1] - x[:, padlen:0:-1], x,
+                          2 * x[:, -1:] - x[:, -2:-padlen - 2:-1]], axis=1)
+    y = one_pass(one_pass(ext)[:, ::-1])[:, ::-1]
+    return y[:, padlen:padlen + x.shape[1]]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("fs, band, order, kind, n", [
+    (120.0, (1.0, 2.0), 4, "offset", 20),
+    (120.0, (0.5, 3.0), 2, "offset", 20),
+    (120.0, (0.7, 4.0), 4, "ramp", 1000),
+    (30.0, (0.7, 11.0), 3, "ramp", 300),
+])
+def test_close_to_extended_precision(fs, band, order, kind, n):
+    # inputs far larger than their bandpassed output: here sosfiltfilt
+    # itself is off by up to 2.6e-11 of max|y| (offset rows), while the
+    # block kernel stays within 1e-13
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, n))
+    x += 100.0 if kind == "offset" else np.linspace(0.0, 50.0, n)
+    sos = butter_bandpass_sos(order, *band, fs)
+    padlen = min(n - 1, 3 * _settling_length(sos))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        y = bandpass(x, fs, band[0], band[1], order)
+    ref = extended_filtfilt(sos, x, padlen)
+    assert float(np.max(np.abs(y - ref))) <= 2e-13 * float(np.max(np.abs(ref)))

@@ -3,6 +3,7 @@ import pytest
 
 from lowlight_rppg import (
     SynthConfig,
+    attenuate,
     dominant_frequency,
     generate,
     illumination_sweep,
@@ -114,3 +115,17 @@ class TestIlluminationSweep:
             illumination_sweep(base, [0.0])
         with pytest.raises(ConfigError):
             illumination_sweep(base, [1.5])
+
+
+class TestAttenuate:
+    def test_scales_pulse_only(self):
+        base = SynthConfig(hr_bpm=72.0, noise_rms=(0.2, 0.3, 0.4), seed=9)
+        cfg = attenuate(base, 0.3)
+        assert cfg.pulse_amp == tuple(0.3 * a for a in base.pulse_amp)
+        assert (cfg.noise_rms, cfg.seed, cfg.hr_bpm) == (base.noise_rms, 9, 72.0)
+        assert attenuate(base, 1.0) == base
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, 1.0000001, 2.0, np.nan, np.inf])
+    def test_rejects_levels_outside_unit_interval(self, level):
+        with pytest.raises(ConfigError):
+            attenuate(SynthConfig(), level)
