@@ -101,8 +101,13 @@ class TestFuseWindow:
 
 
 class TestOverlapAdd:
-    @pytest.mark.parametrize("win", [2, 300, 600, 1200])
-    def test_single_window_is_hann_curve(self, win):
+    def test_single_window_is_hann_curve(self):
+        from scipy.signal.windows import hann
+        out = overlap_add([(0, np.ones(300))], window_len=300)
+        assert np.max(np.abs(out - hann(300, sym=False))) <= 1e-15
+
+    @pytest.mark.parametrize("win", [2, 600, 1200])
+    def test_single_window_is_hann_curve_other_lengths(self, win):
         from scipy.signal.windows import hann
         out = overlap_add([(0, np.ones(win))], window_len=win)
         assert np.max(np.abs(out - hann(win, sym=False))) <= 1e-15
