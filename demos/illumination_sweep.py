@@ -5,7 +5,7 @@ Run with: python3 demos/illumination_sweep.py
 """
 
 from lowlight_rppg import PipelineConfig, SynthConfig
-from lowlight_rppg.cli import sweep_report
+from lowlight_rppg.sweep import sweep_report
 
 LEVELS = [1.0, 0.5, 0.25, 0.1, 0.05]
 

@@ -11,17 +11,17 @@ import argparse
 import dataclasses
 import json
 import os
-import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import baseline, metrics, synth
 from .errors import ConfigError, InvalidHeader, PairingError, ParseError, RppgError
 from .hr import estimate_hr, sliding_hr
-from .ingest import load_trace_csv, save_trace_csv
+from .ingest import (check_width, header_float, load_trace_csv, read_csv, save_trace_csv,
+                     trace_from_rows)
 from .reconstruct import PipelineConfig, PulseWave, run_pipeline
+from .sweep import sweep_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -43,6 +43,12 @@ def _round6(obj):
     if isinstance(obj, (list, tuple)):
         return [_round6(v) for v in obj]
     return obj
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """``header``, then one line of ``_fmt`` fields per row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def _write_json(path, obj) -> None:
@@ -75,76 +81,32 @@ def _add_pipeline_flags(parser) -> None:
 
 
 def save_pulse_csv(pulse: PulseWave, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# fs={_fmt(float(pulse.fs))}\n")
-        for i, v in enumerate(pulse.samples):
-            fh.write(f"{i},{_fmt(float(v))}\n")
+    _write_csv(path, f"# fs={_fmt(float(pulse.fs))}", enumerate(pulse.samples.tolist()))
+
+
+def pulse_from_rows(headers, rows: np.ndarray) -> PulseWave:
+    """A pulse from ``read_csv``'s output for an ``index,value`` pulse file."""
+    fs = header_float(headers, "fs")
+    if fs is None or not (np.isfinite(fs) and fs > 0):
+        raise InvalidHeader("missing or invalid '# fs=' header")
+    check_width(rows, 2)
+    if not len(rows):
+        raise ParseError("pulse file has no data rows")
+    return PulseWave(samples=rows[:, 1], fs=fs)
 
 
 def load_pulse_csv(path) -> PulseWave:
-    fs = None
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                key, _, value = body.partition("=")
-                if key.strip() == "fs":
-                    try:
-                        fs = float(value)
-                    except ValueError:
-                        raise InvalidHeader(f"line {lineno}: bad fs value")
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 fields, got {len(parts)}", lineno)
-            try:
-                values.append(float(parts[1]))
-            except ValueError:
-                raise ParseError(f"non-numeric value in {line!r}", lineno)
-    if fs is None or not (np.isfinite(fs) and fs > 0):
-        raise InvalidHeader("missing or invalid '# fs=' header")
-    samples = np.array(values)
-    if not np.all(np.isfinite(samples)):
-        raise ParseError("pulse contains a non-finite sample")
-    return PulseWave(samples=samples, fs=fs)
+    return pulse_from_rows(*read_csv(path))
 
 
 def load_reference_csv(path) -> list[tuple[float, float]]:
     """Reference HR CSV: ``t_seconds,bpm`` rows, ``#`` comments allowed.
     A NaN or infinite value is a ParseError naming its line."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 fields, got {len(parts)}", lineno)
-            try:
-                row = (float(parts[0]), float(parts[1]))
-            except ValueError:
-                raise ParseError(f"non-numeric value in {line!r}", lineno)
-            if not all(np.isfinite(row)):
-                raise ParseError(f"non-finite value in {line!r}", lineno)
-            rows.append(row)
-    if not rows:
+    _, rows = read_csv(path)
+    check_width(rows, 2)
+    if not len(rows):
         raise ParseError("reference file has no data rows")
-    return rows
-
-
-def _csv_field_count(path) -> int:
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            return len(line.split(","))
-    raise ParseError("file has no data rows")
+    return [(t, bpm) for t, bpm in rows.tolist()]
 
 
 def cmd_extract(args) -> int:
@@ -163,14 +125,15 @@ def cmd_extract(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _pipeline_config(args)
-    n_fields = _csv_field_count(args.input)
-    if n_fields == 4:
-        trace = load_trace_csv(args.input)
-        pulse = run_pipeline(trace, config)
-    elif n_fields == 2:
-        pulse = load_pulse_csv(args.input)
+    headers, rows = read_csv(args.input)
+    if not len(rows):
+        raise ParseError("file has no data rows")
+    if rows.shape[1] == 4:
+        pulse = run_pipeline(trace_from_rows(headers, rows), config)
+    elif rows.shape[1] == 2:
+        pulse = pulse_from_rows(headers, rows)
     else:
-        raise ParseError(f"cannot identify input with {n_fields} fields per row")
+        raise ParseError(f"cannot identify input with {rows.shape[1]} fields per row")
     ref = load_reference_csv(args.reference)
     est = sliding_hr(pulse.samples, pulse.fs, win_s=config.window_s,
                      step_s=config.step_s, band=config.band)
@@ -185,53 +148,6 @@ def cmd_synth(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     save_trace_csv(synth.generate(config), args.out)
     return EXIT_OK
-
-
-def _sweep_one(cfg, pipe_config):
-    """Metrics for both methods on one attenuated synthetic config."""
-    trace = synth.generate(cfg)
-    hr_ref = cfg.hr_bpm
-    pulse = run_pipeline(trace, pipe_config)
-    signals = {
-        "proposed": pulse.samples,
-        "green-baseline": baseline.green_baseline_signal(
-            trace, lam=pipe_config.lam, band=pipe_config.band),
-    }
-    rows = {}
-    for method, sig in signals.items():
-        est = [bpm for _, bpm in sliding_hr(sig, trace.fs, win_s=pipe_config.window_s,
-                                            step_s=pipe_config.step_s,
-                                            band=pipe_config.band)]
-        ref = [hr_ref] * len(est)
-        rows[method] = (metrics.cap_snr(metrics.snr(sig, trace.fs, hr_ref)),
-                        metrics.mae(est, ref), metrics.rmse(est, ref))
-    return rows
-
-
-def sweep_report(config, levels, pipe_config, n_seeds: int = 1,
-                 jobs: int = 1) -> list[dict]:
-    """One row per (level, method); metrics are medians over seeds.
-
-    Every level is checked (``synth.attenuate``) before any task starts.
-    """
-    tasks = [synth.attenuate(dataclasses.replace(config, seed=config.seed + k), level)
-             for level in levels for k in range(n_seeds)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda cfg: _sweep_one(cfg, pipe_config), tasks))
-    else:
-        results = [_sweep_one(cfg, pipe_config) for cfg in tasks]
-
-    rows = []
-    for i, level in enumerate(levels):
-        per_level = results[i * n_seeds:(i + 1) * n_seeds]
-        for method in ("proposed", "green-baseline"):
-            snr_db = statistics.median(r[method][0] for r in per_level)
-            mae_bpm = statistics.median(r[method][1] for r in per_level)
-            rmse_bpm = statistics.median(r[method][2] for r in per_level)
-            rows.append({"level": level, "method": method, "snr_db": snr_db,
-                         "mae_bpm": mae_bpm, "rmse_bpm": rmse_bpm})
-    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -249,12 +165,9 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _write_json(args.report, rows)
     else:
-        with open(args.report, "w") as fh:
-            fh.write("level,method,snr_db,mae_bpm,rmse_bpm\n")
-            for r in rows:
-                fh.write(",".join([
-                    _fmt(float(r["level"])), r["method"], _fmt(r["snr_db"]),
-                    _fmt(r["mae_bpm"]), _fmt(r["rmse_bpm"])]) + "\n")
+        _write_csv(args.report, "level,method,snr_db,mae_bpm,rmse_bpm",
+                   ((float(r["level"]), r["method"], r["snr_db"], r["mae_bpm"],
+                     r["rmse_bpm"]) for r in rows))
     return EXIT_OK
 
 
@@ -265,19 +178,15 @@ def cmd_analyze(args) -> int:
     green = trace.green()
 
     freqs, power = metrics.spectrum(green, trace.fs)
-    with open(os.path.join(args.outdir, "spectrum.csv"), "w") as fh:
-        fh.write("freq_hz,power\n")
-        for f, p in zip(freqs, power):
-            fh.write(f"{_fmt(float(f))},{_fmt(float(p))}\n")
+    _write_csv(os.path.join(args.outdir, "spectrum.csv"), "freq_hz,power",
+               zip(freqs.tolist(), power.tolist()))
 
     times, sfreqs, sxx = metrics.spectrogram(green, trace.fs,
                                              win_s=args.window_s,
                                              hop_s=args.step_s)
-    with open(os.path.join(args.outdir, "spectrogram.csv"), "w") as fh:
-        fh.write("t_seconds," + ",".join(_fmt(float(f)) for f in sfreqs) + "\n")
-        for t, row in zip(times, sxx):
-            fh.write(_fmt(float(t)) + "," +
-                     ",".join(_fmt(float(v)) for v in row) + "\n")
+    _write_csv(os.path.join(args.outdir, "spectrogram.csv"),
+               ",".join(["t_seconds", *map(_fmt, sfreqs.tolist())]),
+               ([t, *row] for t, row in zip(times.tolist(), sxx.tolist())))
 
     sig = baseline.green_baseline_signal(trace, lam=config.lam, band=config.band)
     est = baseline.green_baseline_hr(trace, lam=config.lam, band=config.band)

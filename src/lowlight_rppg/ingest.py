@@ -5,6 +5,7 @@ The measurement trace is stored time-major (T x 3, columns R, G, B).
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -95,62 +96,96 @@ def assemble_trace(frames, fs: float, t0: float = 0.0) -> RawTrace:
     return RawTrace(samples=samples, fs=fs, t0=t0)
 
 
+def read_csv(path) -> tuple[list[tuple[int, str, str]], np.ndarray]:
+    """The one CSV reader: ``# key=value`` headers and a float array of rows.
+
+    Headers come in file order as ``(line_number, key, value)``.  Blank and
+    other ``#`` lines are skipped.  Every other line is a row of numeric,
+    finite fields, the same number per row, else a ParseError naming the
+    line.  No rows give a ``(0, 0)`` array.
+    """
+    headers, lines, numbers = [], [], []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    headers.append((lineno, key.strip(), value))
+            elif line:
+                lines.append(line)
+                numbers.append(lineno)
+    if not lines:
+        return headers, np.empty((0, 0))
+    # parse the kept lines, not the file: on the file, loadtxt fails on
+    # whitespace-only lines, or with comments="#" takes "1,2 # x" as a row
+    parse = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
+    try:
+        rows = parse(lines)
+    except ValueError as exc:
+        # name the first bad line, parsing each on its own with the same parser
+        width = None
+        for lineno, line in zip(numbers, lines):
+            try:
+                n = parse([line]).shape[1]
+            except ValueError:
+                raise ParseError(f"non-numeric value in {line!r}", lineno) from None
+            if width is not None and n != width:
+                raise ParseError(f"expected {width} fields, got {n}", lineno)
+            width = n
+        raise ParseError(f"rows do not parse: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ParseError(f"non-finite value in {lines[bad[0]]!r}", numbers[bad[0]])
+    return headers, rows
+
+
+def header_float(headers, key: str, default=None):
+    """The last ``key`` header as a float, else ``default``; InvalidHeader
+    names the line of a ``key`` header that is not a number."""
+    value = default
+    for lineno, k, text in headers:
+        if k == key:
+            try:
+                value = float(text)
+            except ValueError:
+                raise InvalidHeader(f"line {lineno}: bad {key} value {text!r}") from None
+    return value
+
+
+def check_width(rows: np.ndarray, n_fields: int) -> None:
+    """ParseError unless ``read_csv``'s rows, if any, have ``n_fields`` fields."""
+    if len(rows) and rows.shape[1] != n_fields:
+        raise ParseError(f"expected {n_fields} fields, got {rows.shape[1]}")
+
+
+def trace_from_rows(headers, rows: np.ndarray) -> RawTrace:
+    """A raw trace from ``read_csv``'s output for a trace file."""
+    fs = header_float(headers, "fs")
+    if fs is None or not (np.isfinite(fs) and fs > 0):
+        raise InvalidHeader("missing '# fs=' header, or fs not positive and finite")
+    check_width(rows, 4)
+    if len(rows) < 2:
+        raise ParseError("trace must contain at least 2 rows")
+    return RawTrace(samples=rows[:, 1:], fs=fs, t0=header_float(headers, "t0", 0.0))
+
+
 def load_trace_csv(path) -> RawTrace:
     """Load a raw trace from CSV.
 
     Format: first line ``# fs=<float>``, optional ``# t0=<float>``, then
     ``frame_index,r,g,b`` rows.
     """
-    fs = None
-    t0 = 0.0
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    key = key.strip()
-                    try:
-                        if key == "fs":
-                            fs = float(value)
-                        elif key == "t0":
-                            t0 = float(value)
-                    except ValueError:
-                        raise InvalidHeader(f"line {lineno}: bad header value {body!r}")
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(f"expected 4 fields, got {len(parts)}", lineno)
-            try:
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError:
-                raise ParseError(f"non-numeric value in {line!r}", lineno)
-    if fs is None:
-        raise InvalidHeader("missing '# fs=' header line")
-    if not (np.isfinite(fs) and fs > 0):
-        raise InvalidHeader(f"fs must be positive and finite, got {fs}")
-    if len(rows) < 2:
-        raise ParseError("trace must contain at least 2 rows")
-    samples = np.array(rows)
-    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
-    if bad.size:
-        raise ParseError(f"non-finite sample in data row {bad[0] + 1}")
-    return RawTrace(samples=samples, fs=fs, t0=t0)
+    return trace_from_rows(*read_csv(path))
 
 
 def save_trace_csv(trace: RawTrace, path) -> None:
     """Write a raw trace in the load_trace_csv format (lossless via repr)."""
+    head = f"# fs={trace.fs!r}\n" + (f"# t0={trace.t0!r}\n" if trace.t0 else "")
     with open(path, "w") as fh:
-        fh.write(f"# fs={trace.fs!r}\n")
-        if trace.t0:
-            fh.write(f"# t0={trace.t0!r}\n")
-        for i, row in enumerate(trace.samples):
-            r, g, b = (float(v) for v in row)
-            fh.write(f"{i},{r!r},{g!r},{b!r}\n")
+        fh.write(head + "".join(f"{i},{r!r},{g!r},{b!r}\n"
+                                for i, (r, g, b) in enumerate(trace.samples.tolist())))
 
 
 _FRAME_SUFFIX = re.compile(r"_(\d+)(?:\.[^.]*)?$")
@@ -167,23 +202,13 @@ def load_roi_frames(directory) -> list[RoiFrame]:
         m = _FRAME_SUFFIX.search(name)
         if not m:
             continue
-        index = int(m.group(1))
-        pixels = []
-        path = os.path.join(directory, name)
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ParseError(f"{name}: expected 3 fields", lineno)
-                try:
-                    pixels.append([float(p) for p in parts])
-                except ValueError:
-                    raise ParseError(f"{name}: non-numeric pixel value", lineno)
-        if not pixels:
+        try:
+            _, pixels = read_csv(os.path.join(directory, name))
+            check_width(pixels, 3)
+        except ParseError as exc:
+            raise ParseError(f"{name}: {exc}") from None
+        if not len(pixels):
             raise EmptyRoi(f"{name}: no pixels")
-        frames.append(RoiFrame(frame_index=index, pixels=np.array(pixels)))
+        frames.append(RoiFrame(frame_index=int(m.group(1)), pixels=pixels))
     frames.sort(key=lambda f: f.frame_index)
     return frames

@@ -20,7 +20,7 @@ from .selection import (
     SIGMA_INIT,
     ReferenceHrState,
     dominant_frequencies,
-    reference_sigma,
+    reference_sigmas,
     select_candidates,
 )
 from .ssa import decompose, default_window_length
@@ -169,7 +169,7 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     of rows: one ``detrend``, one ``bandpass`` and one
     ``dominant_frequencies`` call per block give every window's
     preprocessed samples and reference HR.  The reference-HR dispersion
-    then follows ``reference_sigma`` over the reference HRs so far.
+    then follows ``reference_sigmas`` over the reference HRs so far.
     Windows starting on half-window boundaries are additionally
     SSA-decomposed, mask-selected, fused with Gaussian weights centered
     on the reference HR, and assembled by Hann overlap-add at 50% hop;
@@ -199,7 +199,7 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
         f_r[b:b + len(segs)] = dominant_frequencies(segs, fs, config.band)
         # keep a compact copy of the emitted rows, not views of the block
         emitted_segs.extend(segs[(-b) % every::every].copy())
-    sigma_fr = [reference_sigma(f_r[:k + 1], config.sigma_init) for k in range(len(f_r))]
+    sigma_fr = reference_sigmas(f_r, config.sigma_init).tolist()
 
     L = config.ssa_window or default_window_length(win, fs)
     emitted = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,15 +76,22 @@ def dominant_frequency(series, fs: float, band: tuple[float, float] = PULSE_BAND
     return float(dominant_frequencies(np.reshape(series, (1, -1)), fs, band)[0])
 
 
-def reference_sigma(history, sigma_init: float) -> float:
-    """Mask half-width (Hz) after the reference HRs in ``history``.
+def reference_sigmas(f_r, sigma_init: float) -> np.ndarray:
+    """Mask half-width (Hz) after each prefix of the reference HRs ``f_r``.
 
-    The sample standard deviation of the whole history, floored at
-    SIGMA_FLOOR; ``sigma_init`` until two windows have been seen.
+    Entry k is the sample standard deviation of ``f_r[:k + 1]``, floored at
+    SIGMA_FLOOR, and ``sigma_init`` for k = 0.  One pass of Welford's
+    update, so n windows cost O(n), and entry k depends on ``f_r[:k + 1]``
+    alone.
     """
-    if len(history) < 2:
-        return sigma_init
-    return max(float(np.std(history, ddof=1)), SIGMA_FLOOR)
+    sigma = []
+    mean = m2 = 0.0
+    for k, f in enumerate(np.asarray(f_r, dtype=float).tolist()):
+        delta = f - mean
+        mean += delta / (k + 1)
+        m2 += delta * (f - mean)
+        sigma.append(max(math.sqrt(m2 / k), SIGMA_FLOOR) if k else sigma_init)
+    return np.array(sigma, dtype=float)
 
 
 def update_reference(state: ReferenceHrState, green_window, fs: float,
@@ -91,13 +99,13 @@ def update_reference(state: ReferenceHrState, green_window, fs: float,
     """Advance the reference HR with one 10 s green-channel window.
 
     The instantaneous HR is the dominant in-band frequency of the window;
-    the dispersion follows ``reference_sigma``, seeded with the incoming
+    the dispersion follows ``reference_sigmas``, seeded with the incoming
     state's ``sigma_fr`` until two windows have been seen.
     """
     f = dominant_frequency(green_window, fs, band)
     history = state.history + (f,)
-    return ReferenceHrState(f_r=f, sigma_fr=reference_sigma(history, state.sigma_fr),
-                            history=history)
+    sigma = float(reference_sigmas(history, state.sigma_fr)[-1])
+    return ReferenceHrState(f_r=f, sigma_fr=sigma, history=history)
 
 
 def spectral_mask(candidates, state: ReferenceHrState,

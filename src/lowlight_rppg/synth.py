@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,12 @@ DRIFT_FREQ_HZ = 0.05  # slow-trend frequency, well below the pulse band
 DEFAULT_PULSE_AMP = (0.3, 1.0, 0.2)
 
 
+def _finite(name, value) -> float:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     hr_bpm: float = 72.0
@@ -38,6 +46,16 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("pulse_amp", "noise_rms"):
+            v = getattr(self, name)
+            if not isinstance(v, (tuple, list, np.ndarray)) or len(v) != 3:
+                raise ConfigError(f"{name} must be a 3-tuple (R, G, B)")
+            object.__setattr__(self, name, tuple(_finite(name, x) for x in v))
+        for name in ("hr_bpm", "fs", "duration_s", "harmonic_ratio",
+                     "quantization_step", "drift_amp"):
+            _finite(name, getattr(self, name))
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         f = self.hr_bpm / 60.0
         if not (PULSE_BAND[0] <= f <= PULSE_BAND[1]):
             raise ConfigError(f"hr_bpm {self.hr_bpm} outside the pulse band")
@@ -49,16 +67,13 @@ class SynthConfig:
             raise ConfigError("harmonic_ratio must be in [0, 1]")
         if self.quantization_step < 0:
             raise ConfigError("quantization_step must be >= 0")
-        for name in ("pulse_amp", "noise_rms"):
-            v = getattr(self, name)
-            if len(v) != 3:
-                raise ConfigError(f"{name} must be a 3-tuple (R, G, B)")
-            object.__setattr__(self, name, tuple(float(x) for x in v))
 
     @classmethod
     def from_json(cls, path) -> "SynthConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -90,13 +105,17 @@ def generate(config: SynthConfig) -> RawTrace:
         pulse = pulse + config.harmonic_ratio * np.sin(4 * np.pi * f * t)
     drift = config.drift_amp * np.sin(2 * np.pi * DRIFT_FREQ_HZ * t)
     channels = []
-    for c in range(3):
-        noise = rng.normal(0.0, 1.0, n) * config.noise_rms[c]
-        channels.append(BASELINE + drift + config.pulse_amp[c] * pulse + noise)
-    samples = np.column_stack(channels)
-    if config.quantization_step > 0:
-        q = config.quantization_step
-        samples = q * np.round(samples / q)
+    # amplitudes near the float maximum overflow: reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(3):
+            noise = rng.normal(0.0, 1.0, n) * config.noise_rms[c]
+            channels.append(BASELINE + drift + config.pulse_amp[c] * pulse + noise)
+        samples = np.column_stack(channels)
+        if config.quantization_step > 0:
+            q = config.quantization_step
+            samples = q * np.round(samples / q)
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError("config amplitudes overflow: the trace is not finite")
     return RawTrace(samples=samples, fs=config.fs)
 
 

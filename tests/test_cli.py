@@ -10,6 +10,7 @@ import lowlight_rppg
 
 from lowlight_rppg import RawTrace, SynthConfig, generate, save_trace_csv
 from lowlight_rppg.cli import load_pulse_csv, main
+from lowlight_rppg.errors import ParseError
 
 
 @pytest.fixture
@@ -157,6 +158,40 @@ class TestEvaluate:
         assert not report.exists()
 
 
+    @pytest.mark.parametrize("kind", ["trace", "pulse"])
+    def test_reads_input_once(self, tmp_path, clean_trace, monkeypatch, kind):
+        path = clean_trace
+        if kind == "pulse":
+            path = tmp_path / "pulse.csv"
+            assert main(["extract", str(clean_trace), str(path)]) == 0
+        ref = tmp_path / "ref.csv"
+        write_reference(ref, 72.0, np.arange(5.0, 56.0, 1.0))
+        opened = []
+        real_open = open
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert main(["evaluate", str(path), str(ref), str(tmp_path / "report.json")]) == 0
+        assert opened.count(str(path)) == 1
+
+    def test_no_data_rows_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("# fs=30\n")
+        ref = tmp_path / "ref.csv"
+        write_reference(ref, 72.0, [5.0])
+        assert main(["evaluate", str(path), str(ref), str(tmp_path / "r.json")]) == 2
+        assert "no data rows" in capsys.readouterr().err
+
+
+def test_load_pulse_csv_header_only_is_parse_error(tmp_path):
+    # it used to return an empty pulse
+    path = tmp_path / "pulse.csv"
+    path.write_text("# fs=30\n")
+    with pytest.raises(ParseError):
+        load_pulse_csv(path)
+
+
 class TestSynthCommand:
     def test_generates_loadable_trace(self, tmp_path, clean_config):
         out = tmp_path / "trace.csv"
@@ -174,6 +209,26 @@ class TestSynthCommand:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"hr_bpmm": 72.0}))
         assert main(["synth", str(cfg), str(tmp_path / "out.csv")]) == 2
+
+
+    @pytest.mark.parametrize("content", [
+        "5", "[{}]", '{"duration_s": NaN}', '{"fs": NaN}', '{"fs": Infinity}',
+        '{"duration_s": Infinity}', '{"noise_rms": [NaN, 0, 0]}', '{"seed": -1}',
+        '{"seed": 1.5}', '{"quantization_step": NaN}', '{"hr_bpm": "72"}',
+        '{"pulse_amp": 5}', '{"pulse_amp": [1.7e308, 1.7e308, 1.7e308]}',
+    ])
+    def test_bad_config_value_exit_2_without_traceback(self, tmp_path, capsys, content):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(content)
+        out = tmp_path / "out.csv"
+        assert main(["synth", str(cfg), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, clean_config):
+        assert main(["synth", str(clean_config), str(tmp_path / "out.csv"),
+                     "--seed", "-1"]) == 2
 
 
 class TestSweep:
@@ -230,6 +285,24 @@ class TestSweep:
         report = tmp_path / "report.csv"
         assert main(["sweep", str(clean_config), str(report), "--levels", levels]) == 2
         assert made == [] and not report.exists()
+
+    @pytest.mark.parametrize("flags", [["--seeds", "0"], ["--seeds", "-1"], ["--jobs", "0"]])
+    def test_bad_seeds_or_jobs_exit_2_before_any_task(self, tmp_path, clean_config,
+                                                      monkeypatch, capsys, flags):
+        # --seeds 0 used to end in a StatisticsError traceback, and --jobs 0
+        # ran serially without a word
+        from lowlight_rppg import synth
+        made = []
+        monkeypatch.setattr(synth, "generate", lambda cfg: made.append(cfg))
+        report = tmp_path / "report.csv"
+        assert main(["sweep", str(clean_config), str(report), "--levels", "1.0",
+                     *flags]) == 2
+        assert made == [] and not report.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cli_sweep_report_is_the_library_function(self):
+        from lowlight_rppg import cli, sweep
+        assert cli.sweep_report is sweep.sweep_report
 
     def test_seed_and_format_only_on_sweep(self, tmp_path, clean_trace, capsys):
         with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
 """Fuzzed input files: the readers raise only input errors, the CLI exits
 0, 2 or 3 and never with a traceback."""
 
+import json
 import os
 import tempfile
 
@@ -121,3 +122,37 @@ def test_evaluate(capsys, content, reference):
         _exits_cleanly(capsys, ["evaluate", _write(d, "in.csv", content),
                                 _write(d, "ref.csv", reference),
                                 os.path.join(d, "report.json")])
+
+
+# SynthConfig JSON: each field mostly a value in or near its valid range,
+# kept small where it sets the trace length (fs, duration_s) so that no
+# example makes a long trace, else a value the config must reject.
+invalid = st.sampled_from([float("nan"), float("inf"), -float("inf"), -1, "72", None,
+                           [1.0, 2.0], {}])
+wide = st.floats(-1e308, 1e308)
+
+
+def _field(valid):
+    return st.one_of(valid, valid, valid, invalid)
+
+
+synth_configs = st.fixed_dictionaries({}, optional={
+    "hr_bpm": _field(st.floats(40.0, 250.0)),
+    "fs": _field(st.sampled_from([8.0, 9.5, 30, 60.0])),
+    "duration_s": _field(st.floats(9.0, 20.0)),
+    "pulse_amp": _field(st.lists(wide, min_size=3, max_size=3)),
+    "noise_rms": _field(st.lists(st.floats(0.0, 1e308), min_size=3, max_size=3)),
+    "harmonic_ratio": _field(st.floats(-0.1, 1.1)),
+    "quantization_step": _field(st.floats(0.0, 1e308)),
+    "drift_amp": _field(wide),
+    "seed": _field(st.one_of(st.integers(-5, 2**70), st.floats(0.0, 10.0))),
+}).map(json.dumps)
+
+
+@FUZZ
+@given(st.one_of(synth_configs, st.sampled_from(["5", "[{}]", "null", "\"x\"", "{", ""]),
+                 st.binary(max_size=64)))
+def test_synth(capsys, config):
+    with tempfile.TemporaryDirectory() as d:
+        _exits_cleanly(capsys, ["synth", _write(d, "config.json", config),
+                                os.path.join(d, "trace.csv")])

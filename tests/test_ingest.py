@@ -16,7 +16,7 @@ from lowlight_rppg.errors import (
     NonMonotonicFrames,
     ParseError,
 )
-from lowlight_rppg.ingest import load_roi_frames
+from lowlight_rppg.ingest import load_roi_frames, read_csv
 
 
 def frame(index, pixels):
@@ -133,3 +133,69 @@ def test_load_roi_frames(tmp_path):
     assert [f.frame_index for f in frames] == [0, 1]
     trace_rows = [spatial_average(f).tolist() for f in frames]
     assert trace_rows == [[15, 30, 45], [1, 2, 3]]
+
+
+def test_load_roi_frames_empty_file_is_empty_roi(tmp_path):
+    (tmp_path / "roi_00000.txt").write_text("10,20,30\n")
+    (tmp_path / "roi_00001.txt").write_text("# no pixels\n\n")
+    with pytest.raises(EmptyRoi):
+        load_roi_frames(tmp_path)
+
+
+def test_load_roi_frames_bad_pixel_names_file_and_line(tmp_path):
+    (tmp_path / "roi_00003.txt").write_text("1,2,3\n1,x,3\n")
+    with pytest.raises(ParseError, match=r"roi_00003\.txt: line 2: non-numeric"):
+        load_roi_frames(tmp_path)
+
+
+class TestReadCsv:
+    def test_headers_rows_and_skipped_lines(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("# fs=30\n#note\n\n  \t\n0, 1.5 ,2\n# t0 = 4 \n1,-2e3,7\n")
+        headers, rows = read_csv(path)
+        assert headers == [(1, "fs", "30"), (6, "t0", " 4")]
+        assert rows.shape == (2, 3)
+        assert rows.tolist() == [[0.0, 1.5, 2.0], [1.0, -2000.0, 7.0]]
+
+    def test_rows_equal_python_float(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((40, 2)) * 10.0 ** rng.integers(-300, 300, (40, 2))
+        texts = [[repr(v), f"{v:.6g}", f"{v:.17e}"] for v in values.ravel().tolist()]
+        path = tmp_path / "in.csv"
+        path.write_text("".join(",".join(t) + "\n" for t in texts))
+        _, rows = read_csv(path)
+        assert rows.tolist() == [[float(x) for x in t] for t in texts]
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("# fs=30\n\n")
+        headers, rows = read_csv(path)
+        assert headers == [(1, "fs", "30")] and rows.shape == (0, 0)
+
+    @pytest.mark.parametrize("text, line", [
+        ("0,1,2\n1,2\n", 2),
+        ("0,1\n\n1,x\n", 3),
+        ("0,1,2,3 # x\n", 1),
+        ("1_0,1\n", 1),
+        ("0,1\n1,,2\n", 2),
+        ("0,1\n# c\n1,nan\n", 3),
+        ("0,1\n-inf,1\n", 2),
+        ("0,1e400\n", 1),
+    ], ids=["width", "letter", "trailing-comment", "digit-separator", "empty-field",
+            "nan", "minus-inf", "overflow"])
+    def test_bad_row_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_csv(path)
+        assert exc.value.line_number == line
+
+
+@pytest.mark.parametrize("row", ["a,1,2,3", "1_0,1,2,3", "nan,1,2,3", "1,1_0,2,3"])
+def test_trace_index_and_samples_must_be_numeric_and_finite(tmp_path, row):
+    # the old line loop ignored the index column and took "1_0" as 10
+    path = tmp_path / "trace.csv"
+    path.write_text(f"# fs=30\n0,1,2,3\n{row}\n")
+    with pytest.raises(ParseError) as exc:
+        load_trace_csv(path)
+    assert exc.value.line_number == 3

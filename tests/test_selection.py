@@ -11,7 +11,7 @@ from lowlight_rppg import (
     update_reference,
 )
 from lowlight_rppg.errors import NoComponents, ZeroSignal
-from lowlight_rppg.selection import MaskReason
+from lowlight_rppg.selection import SIGMA_FLOOR, MaskReason, reference_sigmas
 from lowlight_rppg.ssa import SsaDecomposition
 
 FS = 30.0
@@ -95,6 +95,37 @@ class TestUpdateReference:
         # history ~ [1.1, 1.2, 1.3], sample std 0.1
         assert abs(st.sigma_fr - np.std(st.history, ddof=1)) < 1e-12
         assert abs(st.sigma_fr - 0.1) < 0.01
+
+
+class TestReferenceSigmas:
+    @pytest.mark.parametrize("f_r", [
+        np.random.default_rng(0).uniform(0.7, 4.0, 500),
+        1.2 + 0.02 * np.random.default_rng(1).standard_normal(2000),
+        np.r_[4.0, 1.0 + 0.05 * np.random.default_rng(2).standard_normal(3000)],
+        np.linspace(0.8, 3.5, 400),
+    ], ids=["uniform", "near-floor", "outlier-first", "ramp"])
+    def test_matches_prefix_std(self, f_r):
+        got = reference_sigmas(f_r, 0.05)
+        want = [0.05] + [max(np.std(f_r[:k + 1], ddof=1), SIGMA_FLOOR)
+                         for k in range(1, len(f_r))]
+        assert got.shape == f_r.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_floor_and_sigma_init(self):
+        got = reference_sigmas([1.2, 1.2, 1.2, 1.25], 0.3)
+        assert got[0] == 0.3
+        assert got[1] == got[2] == SIGMA_FLOOR
+        assert abs(got[3] - 0.025) <= 1e-12
+
+    def test_empty(self):
+        assert reference_sigmas([], 0.05).shape == (0,)
+
+    def test_update_reference_uses_the_same_rule(self):
+        t = np.arange(300) / FS
+        st = ReferenceHrState(sigma_fr=0.07)
+        for f in (1.1, 1.3, 1.25, 1.6):
+            st = update_reference(st, np.sin(2 * np.pi * f * t), FS)
+        assert st.sigma_fr == reference_sigmas(st.history, 0.07)[-1]
 
 
 class TestSpectralMask:
