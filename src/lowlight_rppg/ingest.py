@@ -181,8 +181,13 @@ def load_trace_csv(path) -> RawTrace:
 
 
 def save_trace_csv(trace: RawTrace, path) -> None:
-    """Write a raw trace in the load_trace_csv format (lossless via repr)."""
-    head = f"# fs={trace.fs!r}\n" + (f"# t0={trace.t0!r}\n" if trace.t0 else "")
+    """Write a raw trace in the load_trace_csv format (lossless via repr).
+
+    A numpy scalar ``fs`` or ``t0`` is written as the Python number it
+    holds, so ``# fs=30`` stays ``# fs=30`` for an int and never becomes
+    ``# fs=np.float64(30.0)``."""
+    fs, t0 = (v.item() if isinstance(v, np.generic) else v for v in (trace.fs, trace.t0))
+    head = f"# fs={fs!r}\n" + (f"# t0={t0!r}\n" if t0 else "")
     with open(path, "w") as fh:
         fh.write(head + "".join(f"{i},{r!r},{g!r},{b!r}\n"
                                 for i, (r, g, b) in enumerate(trace.samples.tolist())))

@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, PairingError, SeriesTooShort
 from .preprocess import PULSE_BAND
+from .reconstruct import periodic_hann
 
 SNR_CAP_DB = 60.0          # reported ceiling for zero-residual (pure tone) inputs
 FUND_HALFWIDTH_HZ = 0.1    # signal band around the HR fundamental
@@ -77,21 +79,31 @@ def spectrogram(series, fs: float, win_s: float = 10.0, hop_s: float = 1.0,
     """Hann-windowed short-time FFT power, band-limited for plotting.
 
     Returns (times, freqs, power) with power of shape (n_slices, n_freqs)
-    and freqs limited to [0, max_freq] Hz.  Only ``analyze`` needs it, so
-    ``scipy.signal`` is imported here rather than with the package.
+    and freqs limited to [0, max_freq] Hz.  The series is mean-removed and
+    cut into segments of ``round(win_s * fs)`` samples every
+    ``round(hop_s * fs)``; each segment loses its own mean, takes the
+    periodic Hann window ``w`` (``periodic_hann``) and gives
+    ``|rfft|^2 / (sum w)^2``, doubled at every bin but DC and Nyquist.
+    Slice times are segment centres.  This is ``scipy.signal.spectrogram``
+    with ``window="hann"``, ``scaling="spectrum"`` and ``mode="psd"``, in
+    numpy.
     """
-    from scipy import signal as sps
-
     x = np.asarray(series, dtype=float)
     nperseg = int(round(win_s * fs))
+    step = int(round(hop_s * fs))
+    if nperseg < 1 or step < 1:
+        raise ConfigError(f"window {win_s} s or hop {hop_s} s is under one sample at {fs} Hz")
     if x.size < nperseg:
         raise SeriesTooShort(f"need at least {win_s} s of samples")
-    noverlap = nperseg - int(round(hop_s * fs))
-    freqs, times, sxx = sps.spectrogram(
-        x - x.mean(), fs=fs, window="hann", nperseg=nperseg,
-        noverlap=noverlap, scaling="spectrum", mode="psd")
+    segs = sliding_window_view(x - x.mean(), nperseg)[::step]
+    segs = segs - segs.mean(axis=1, keepdims=True)
+    window = periodic_hann(nperseg)
+    power = np.abs(np.fft.rfft(segs * window, axis=1)) ** 2 / window.sum() ** 2
+    power[:, 1:(nperseg + 1) // 2] *= 2.0
+    freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)
+    times = (nperseg / 2 + step * np.arange(len(segs))) / fs
     keep = freqs <= max_freq
-    return times, freqs[keep], sxx[keep].T
+    return times, freqs[keep], power[:, keep]
 
 
 def pair_by_timestamp(est_windows, ref_windows, tol_s: float = 0.5):

@@ -14,7 +14,7 @@ from .errors import (
     WindowSpacingError,
 )
 from .ingest import RawTrace
-from .preprocess import PULSE_BAND, DEFAULT_LAMBDA, bandpass, detrend
+from .preprocess import PULSE_BAND, DEFAULT_LAMBDA, bandpass, check_lambda, detrend
 from .selection import (
     DEFAULT_SEC_CHN,
     SIGMA_INIT,
@@ -69,6 +69,11 @@ def fuse_window(accepted, params: GaussianWeightParams) -> np.ndarray:
     return (w[:, None] * stack).sum(axis=0) / w.sum()
 
 
+def periodic_hann(n: int) -> np.ndarray:
+    """The periodic (``sym=False``) Hann window ``0.5 - 0.5 cos(2 pi k / n)``."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
 def overlap_add(windows, window_len: int, hop: int | None = None) -> np.ndarray:
     """Sum Hann-tapered windows at their start offsets.
 
@@ -76,8 +81,7 @@ def overlap_add(windows, window_len: int, hop: int | None = None) -> np.ndarray:
     spaced exactly ``hop`` apart with hop = window_len / 2.  The periodic
     Hann window at 50% hop satisfies constant overlap-add with sum 1.0,
     so the interior of a constant stream reconstructs the constant.
-    The taper is ``0.5 - 0.5 cos(2 pi k / window_len)``, the periodic
-    (``sym=False``) Hann window.
+    The taper is ``periodic_hann(window_len)``.
     """
     if hop is None:
         hop = window_len // 2
@@ -90,7 +94,7 @@ def overlap_add(windows, window_len: int, hop: int | None = None) -> np.ndarray:
     for a, b in zip(starts, starts[1:]):
         if b - a != hop:
             raise WindowSpacingError(f"window starts {a} and {b} are not {hop} apart")
-    taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_len) / window_len)
+    taper = periodic_hann(window_len)
     out = np.zeros(starts[-1] + window_len)
     for start, vec in windows:
         vec = np.asarray(vec, dtype=float)
@@ -135,7 +139,7 @@ class PipelineConfig:
     ``band`` is the pulse band in Hz: it sets the bandpass, the range
     searched for the reference HR and the band of the spectral mask.  Its
     upper edge is checked against the trace's Nyquist frequency by
-    ``bandpass``.
+    ``bandpass``.  ``lam`` is at most ``preprocess.MAX_LAMBDA``.
     """
 
     window_s: float = 10.0
@@ -148,10 +152,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         positive = {"window_s": self.window_s, "step_s": self.step_s,
-                    "lam": self.lam, "sigma_init": self.sigma_init}
+                    "sigma_init": self.sigma_init}
         for name, value in positive.items():
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        check_lambda(self.lam)
         if self.sec_chn < 1:
             raise ConfigError(f"sec_chn must be >= 1, got {self.sec_chn}")
         if self.ssa_window is not None and self.ssa_window < 2:

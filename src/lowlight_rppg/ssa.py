@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hankel
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DecompositionFailure, InvalidWindowLength, NonFiniteInput
 
@@ -48,7 +48,7 @@ def hankel_embed(series, L: int) -> np.ndarray:
     """L x K trajectory matrix, X[i, j] = series[i + j], K = T - L + 1."""
     x = np.asarray(series, dtype=float)
     validate_window_length(L, x.size)
-    return hankel(x[:L], x[L - 1:])
+    return np.ascontiguousarray(sliding_window_view(x, x.size - L + 1)[:L])
 
 
 def _top_svd(X, k: int):

@@ -26,6 +26,11 @@ DRIFT_FREQ_HZ = 0.05  # slow-trend frequency, well below the pulse band
 # attenuated by default (configurable).
 DEFAULT_PULSE_AMP = (0.3, 1.0, 0.2)
 
+# Largest trace, in samples per channel (fs * duration_s), that a config
+# may ask for: over 9 h at 30 Hz, at 8 MB per channel array, so that no
+# config makes ``generate`` exhaust memory.
+MAX_SAMPLES = 1_000_000
+
 
 def _finite(name, value) -> float:
     if not (isinstance(value, numbers.Real) and math.isfinite(value)):
@@ -35,6 +40,12 @@ def _finite(name, value) -> float:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Signal-model settings; out-of-range values raise ConfigError.
+
+    The trace has ``round(fs * duration_s)`` samples, at most
+    ``MAX_SAMPLES``.
+    """
+
     hr_bpm: float = 72.0
     fs: float = 30.0
     duration_s: float = 60.0
@@ -63,6 +74,8 @@ class SynthConfig:
             raise ConfigError("fs must exceed 8 Hz")
         if self.duration_s < 10:
             raise ConfigError("duration_s must be at least 10 s")
+        if float(self.fs) * float(self.duration_s) > MAX_SAMPLES:
+            raise ConfigError(f"fs * duration_s must be at most {MAX_SAMPLES} samples")
         if not (0.0 <= self.harmonic_ratio <= 1.0):
             raise ConfigError("harmonic_ratio must be in [0, 1]")
         if self.quantization_step < 0:

@@ -66,7 +66,8 @@ def test_criterion_2_diagonal_average_oracle():
 
 
 def test_criterion_3_detrend_dense_oracle():
-    """Sparse detrend matches an explicit dense solve at T=300, lam=100."""
+    """Detrend (DCT solve plus rank-2 correction) matches an explicit
+    dense solve at T=300, lam=100."""
     rng = np.random.default_rng(2)
     x = rng.normal(size=300)
     n = 300

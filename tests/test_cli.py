@@ -78,7 +78,10 @@ class TestExtract:
         (lambda lines: ["# fs=inf"] + lines[1:], []),
         (lambda lines: lines, ["--sec-chn", "0"]),
         (lambda lines: lines, ["--band-high", "20"]),
-    ], ids=["nan-sample", "fs-inf", "sec-chn-0", "band-above-nyquist"])
+        (lambda lines: lines, ["--lambda", "1e8"]),
+        (lambda lines: lines, ["--lambda", "1e300"]),
+    ], ids=["nan-sample", "fs-inf", "sec-chn-0", "band-above-nyquist", "lambda-1e8",
+            "lambda-1e300"])
     def test_bad_input_exit_2_without_traceback(self, tmp_path, clean_trace,
                                                 capsys, edit, flags):
         path = tmp_path / "bad.csv"
@@ -216,6 +219,8 @@ class TestSynthCommand:
         '{"duration_s": Infinity}', '{"noise_rms": [NaN, 0, 0]}', '{"seed": -1}',
         '{"seed": 1.5}', '{"quantization_step": NaN}', '{"hr_bpm": "72"}',
         '{"pulse_amp": 5}', '{"pulse_amp": [1.7e308, 1.7e308, 1.7e308]}',
+        # over synth.MAX_SAMPLES; rejected before generate allocates
+        '{"fs": 1e300}', '{"fs": 30, "duration_s": 1e12}',
     ])
     def test_bad_config_value_exit_2_without_traceback(self, tmp_path, capsys, content):
         cfg = tmp_path / "bad.json"
@@ -324,6 +329,11 @@ class TestAnalyze:
         assert abs(peaks["bpm"] - 72.0) <= 0.5
         assert peaks["snr_db"] > 0
 
+    def test_lambda_above_bound_exit_2(self, tmp_path, clean_trace, capsys):
+        outdir = tmp_path / "analysis"
+        assert main(["analyze", str(clean_trace), str(outdir), "--lambda", "1e8"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.filterwarnings("ignore:series of 300 samples")
     def test_band_reaches_peak_and_snr_is_null_outside_metric_band(self, tmp_path):
         # a 36 bpm (0.6 Hz) tone: SynthConfig rejects HRs below 42 bpm
@@ -341,8 +351,8 @@ class TestAnalyze:
 
 
 def test_extract_evaluate_sweep_do_not_load_scipy_signal(tmp_path, clean_config):
-    # scipy.signal costs most of the package's import time; only analyze
-    # (its spectrogram) may load it
+    # the runtime is numpy-only: no command loads any scipy module, which
+    # would cost more import time than the package itself
     src = os.path.dirname(os.path.dirname(os.path.abspath(lowlight_rppg.__file__)))
     d, cfg = str(tmp_path), str(clean_config)
     (tmp_path / "ref.csv").write_text("".join(f"{t},72\n" for t in range(5, 56)))
@@ -353,9 +363,10 @@ from lowlight_rppg.cli import main
 codes = [main(["synth", {cfg!r}, {d!r} + "/trace.csv"]),
          main(["extract", {d!r} + "/trace.csv", {d!r} + "/pulse.csv"]),
          main(["evaluate", {d!r} + "/trace.csv", {d!r} + "/ref.csv", {d!r} + "/r.json"]),
-         main(["sweep", {cfg!r}, {d!r} + "/s.csv", "--levels", "1.0,0.5"])]
-print(codes, "scipy.signal" in sys.modules)
+         main(["sweep", {cfg!r}, {d!r} + "/s.csv", "--levels", "1.0,0.5"]),
+         main(["analyze", {d!r} + "/trace.csv", {d!r} + "/analysis"])]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "[0, 0, 0, 0] False"
+    assert out.strip() == "[0, 0, 0, 0, 0] []"

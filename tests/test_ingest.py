@@ -106,6 +106,18 @@ class TestTraceCsv:
         assert loaded.fs == trace.fs
         assert loaded.t0 == trace.t0
 
+    @pytest.mark.parametrize("fs, t0, header", [
+        (np.float64(30.0), np.float64(1.5), "# fs=30.0\n# t0=1.5\n"),
+        (np.int64(30), 0.0, "# fs=30\n"),
+        (30, 0.0, "# fs=30\n"),
+    ])
+    def test_numpy_scalar_header_round_trip(self, tmp_path, fs, t0, header):
+        path = tmp_path / "trace.csv"
+        save_trace_csv(RawTrace(samples=np.ones((5, 3)), fs=fs, t0=t0), path)
+        assert path.read_text().startswith(header + "0,")
+        loaded = load_trace_csv(path)
+        assert loaded.fs == fs and loaded.t0 == t0
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# fs=30\n0,1,2,3\n1,1,x,3\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from lowlight_rppg import evaluate, mae, rmse, snr, spectrogram
 from lowlight_rppg.errors import PairingError
@@ -95,6 +96,24 @@ class TestSpectrogram:
                 assert abs(p - 1.0) <= bin_w
             elif t > 40.0:
                 assert abs(p - 1.5) <= bin_w
+
+    @pytest.mark.parametrize("fs", [25.0, 30.0, 60.0])
+    @pytest.mark.parametrize("win_s, hop_s", [(10.0, 1.0), (7.3, 1.1)])
+    def test_matches_scipy_spectrogram(self, fs, win_s, hop_s):
+        # 7.3 s gives an odd segment length at every fs here except 60 Hz
+        rng = np.random.default_rng(3)
+        t = np.arange(int(65 * fs)) / fs
+        x = 50.0 + 0.1 * t + np.sin(2 * np.pi * 1.3 * t) + rng.normal(size=t.size)
+        times, freqs, sxx = spectrogram(x, fs, win_s, hop_s)
+        nperseg = int(round(win_s * fs))
+        f_ref, t_ref, s_ref = signal.spectrogram(
+            x - x.mean(), fs=fs, window="hann", nperseg=nperseg,
+            noverlap=nperseg - int(round(hop_s * fs)), scaling="spectrum", mode="psd")
+        keep = f_ref <= 5.0
+        np.testing.assert_array_equal(freqs, f_ref[keep])
+        np.testing.assert_allclose(times, t_ref, rtol=1e-15)
+        assert sxx.shape == (len(t_ref), keep.sum())
+        assert np.max(np.abs(sxx - s_ref[keep].T)) <= 1e-12 * np.max(s_ref)
 
     def test_white_noise_no_persistent_peak(self):
         fracs = []

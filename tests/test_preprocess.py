@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 from scipy.signal import butter, sosfiltfilt, sosfreqz
 
 from lowlight_rppg import bandpass, detrend
-from lowlight_rppg.errors import NonFiniteInput, NyquistViolation, SeriesTooShort
-from lowlight_rppg.preprocess import _settling_length, butter_bandpass_sos
+from lowlight_rppg.errors import ConfigError, NonFiniteInput, NyquistViolation, SeriesTooShort
+from lowlight_rppg.preprocess import MAX_LAMBDA, _settling_length, butter_bandpass_sos
 
 GRID_FS = (25.0, 30.0, 60.0, 120.0)
 # (0.7, 11) gives a section with two real poles at every odd order
@@ -22,6 +23,66 @@ def dense_detrend_oracle(x, lam):
         d2[i, i:i + 3] = [1.0, -2.0, 1.0]
     a = np.eye(n) + lam**2 * (d2.T @ d2)
     return x - np.linalg.solve(a, x)
+
+
+def smoother_bands(n, lam, dtype=float):
+    """``I + lam^2 D2' D2`` in the upper banded storage of
+    ``scipy.linalg.solveh_banded``: diagonal, first and second
+    superdiagonals in rows 2, 1 and 0."""
+    ab = np.zeros((3, n), dtype=dtype)
+    stencil = (1.0, -2.0, 1.0)
+    for d in range(3):
+        for m in range(3 - d):
+            ab[2 - d, m + d:m + d + n - 2] += stencil[m] * stencil[m + d]
+    ab *= dtype(lam) ** 2
+    ab[2] += 1
+    return ab
+
+
+def long_double_trend(x, lam):
+    """Trend of the rows of x by a banded LDL' solve in np.longdouble."""
+    n = x.shape[-1]
+    ab = smoother_bands(n, lam, np.longdouble)
+    # A[i, i] = ab[2, i], A[i, i+1] = ab[1, i+1], A[i, i+2] = ab[0, i+2]
+    d = np.zeros(n, np.longdouble)
+    l1 = np.zeros(n, np.longdouble)  # L[i, i-1]
+    l2 = np.zeros(n, np.longdouble)  # L[i, i-2]
+    for i in range(n):
+        if i >= 2:
+            l2[i] = ab[0, i] / d[i - 2]
+        if i >= 1:
+            l1[i] = (ab[1, i] - (l2[i] * l1[i - 1] * d[i - 2] if i >= 2 else 0)) / d[i - 1]
+        d[i] = (ab[2, i] - (l1[i] ** 2 * d[i - 1] if i >= 1 else 0)
+                - (l2[i] ** 2 * d[i - 2] if i >= 2 else 0))
+    y = np.array(x, dtype=np.longdouble)
+    for i in range(1, n):
+        y[:, i] -= l1[i] * y[:, i - 1] + (l2[i] * y[:, i - 2] if i >= 2 else 0)
+    y /= d
+    for i in range(n - 2, -1, -1):
+        y[:, i] -= l1[i + 1] * y[:, i + 1] + (l2[i + 2] * y[:, i + 2] if i + 2 < n else 0)
+    return y
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is not extended precision here")
+@pytest.mark.parametrize("lam", [1.0, 10.0, 100.0, 1e3, 1e4])
+@pytest.mark.parametrize("T", [3, 5, 300, 600, 1800, 7200])
+def test_detrend_matches_long_double_solve(T, lam):
+    # no less accurate than the banded Cholesky solve it replaced, and
+    # within 5e-13 of max|x| up to lam = 100 (rounding-level differences,
+    # under 4 eps, count as ties)
+    rng = np.random.default_rng(T)
+    t = np.arange(T)
+    x = rng.normal(size=(3, T)) + 2.0 * np.sin(2 * np.pi * t / 700.0) + 0.01 * t
+    x[0] += 50.0
+    ref = x - long_double_trend(x, lam)
+    scale = np.max(np.abs(x))
+    err = float(np.max(np.abs(detrend(x, lam) - ref))) / scale
+    banded = x - solveh_banded(smoother_bands(T, lam), x.T).T
+    err_banded = float(np.max(np.abs(banded - ref))) / scale
+    assert err <= max(err_banded, 4 * np.finfo(float).eps)
+    if lam <= 100.0:
+        assert err <= 5e-13
 
 
 class TestDetrend:
@@ -76,6 +137,17 @@ class TestDetrend:
     def test_non_finite(self):
         with pytest.raises(NonFiniteInput):
             detrend([1.0, np.nan, 2.0, 3.0], 100.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf, 2 * MAX_LAMBDA, 1e300])
+    def test_lambda_out_of_range(self, lam):
+        with pytest.raises(ConfigError):
+            detrend(np.arange(300.0) ** 2, lam)
+
+    def test_lambda_at_the_bound(self):
+        # lam^2 = 1e12 costs about 1e-4 of relative accuracy (eps * lam^2)
+        x = np.random.default_rng(4).normal(size=(2, 300))
+        ref = x - long_double_trend(x, MAX_LAMBDA)
+        assert np.max(np.abs(detrend(x, MAX_LAMBDA) - ref)) <= 1e-3 * np.max(np.abs(x))
 
 
 class TestBandpass:

@@ -214,7 +214,7 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("field, value", [
         ("sec_chn", 0), ("sigma_init", 0.0), ("lam", -1.0), ("window_s", 0.0),
-        ("band", (4.0, 0.7)), ("band", (0.7, float("inf"))),
+        ("band", (4.0, 0.7)), ("band", (0.7, float("inf"))), ("lam", 1e8),
     ])
     def test_config_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import hankel
 
 from lowlight_rppg import (
     decompose,
@@ -45,6 +46,13 @@ class TestHankelEmbed:
     def test_window_out_of_range(self, L):
         with pytest.raises(InvalidWindowLength):
             hankel_embed(np.zeros(64), L=L)
+
+    @pytest.mark.parametrize("T, L", [(300, 100), (600, 200), (7, 3), (10, 5)])
+    def test_matches_scipy_hankel(self, T, L):
+        x = np.random.default_rng(T).normal(size=T)
+        X = hankel_embed(x, L)
+        np.testing.assert_array_equal(X, hankel(x[:L], x[L - 1:]))
+        assert X.flags.c_contiguous and X.flags.writeable
 
     def test_half_length_admitted_for_even_T(self):
         X = hankel_embed(np.arange(10.0), L=5)

@@ -11,6 +11,7 @@ from lowlight_rppg import (
 )
 from lowlight_rppg.errors import ConfigError
 from lowlight_rppg.metrics import spectrum
+from lowlight_rppg.synth import MAX_SAMPLES
 
 FS = 30.0
 
@@ -74,10 +75,15 @@ class TestGenerate:
         dict(duration_s=5.0),
         dict(harmonic_ratio=1.5),
         dict(quantization_step=-1.0),
+        dict(fs=100.0, duration_s=10000.5),  # just over MAX_SAMPLES
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
             SynthConfig(**kwargs)
+
+    def test_sample_cap_is_inclusive(self):
+        cfg = SynthConfig(fs=100.0, duration_s=MAX_SAMPLES / 100.0)
+        assert round(cfg.fs * cfg.duration_s) == MAX_SAMPLES
 
 
 class TestIlluminationSweep:
