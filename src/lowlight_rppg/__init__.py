@@ -20,11 +20,9 @@ from .ingest import (
 from .metrics import EvalReport, evaluate, mae, rmse, snr, spectrogram, spectrum
 from .preprocess import bandpass, detrend
 from .reconstruct import (
-    GaussianWeightParams,
     PipelineConfig,
     PulseWave,
     fuse_window,
-    gaussian_weight,
     overlap_add,
     run_pipeline,
 )
@@ -37,7 +35,6 @@ from .selection import (
     dominant_frequency,
     select_candidates,
     spectral_mask,
-    update_reference,
 )
 from .ssa import (
     SsaDecomposition,
@@ -57,10 +54,9 @@ __all__ = [
     "SsaDecomposition", "hankel_embed", "svd_components",
     "diagonal_average", "decompose",
     "ReferenceHrState", "CandidateComponent", "MaskDecision", "MaskReason",
-    "dominant_frequency", "dominant_frequencies", "update_reference",
+    "dominant_frequency", "dominant_frequencies",
     "spectral_mask", "select_candidates",
-    "GaussianWeightParams", "PulseWave", "PipelineConfig",
-    "gaussian_weight", "fuse_window", "overlap_add", "run_pipeline",
+    "PulseWave", "PipelineConfig", "fuse_window", "overlap_add", "run_pipeline",
     "HrEstimate", "estimate_hr", "estimate_hr_series", "sliding_hr",
     "spectral_peak",
     "EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate",

@@ -18,7 +18,7 @@ import numpy as np
 from . import baseline, metrics, synth
 from .errors import ConfigError, InvalidHeader, PairingError, ParseError, RppgError
 from .hr import estimate_hr, sliding_hr
-from .ingest import (check_width, header_float, load_trace_csv, read_csv, save_trace_csv,
+from .ingest import (check_width, header_fs, load_trace_csv, read_csv, save_trace_csv,
                      trace_from_rows)
 from .reconstruct import PipelineConfig, PulseWave, run_pipeline
 from .sweep import sweep_report
@@ -70,14 +70,15 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _add_pipeline_flags(parser) -> None:
-    parser.add_argument("--window-s", type=float, default=10.0)
-    parser.add_argument("--step-s", type=float, default=1.0)
-    parser.add_argument("--ssa-window", type=int, default=None)
-    parser.add_argument("--sec-chn", type=int, default=10)
-    parser.add_argument("--lambda", dest="lam", type=float, default=100.0)
-    parser.add_argument("--band-low", type=float, default=0.7)
-    parser.add_argument("--band-high", type=float, default=4.0)
-    parser.add_argument("--sigma-init", type=float, default=0.05)
+    default = PipelineConfig()
+    parser.add_argument("--window-s", type=float, default=default.window_s)
+    parser.add_argument("--step-s", type=float, default=default.step_s)
+    parser.add_argument("--ssa-window", type=int, default=default.ssa_window)
+    parser.add_argument("--sec-chn", type=int, default=default.sec_chn)
+    parser.add_argument("--lambda", dest="lam", type=float, default=default.lam)
+    parser.add_argument("--band-low", type=float, default=default.band[0])
+    parser.add_argument("--band-high", type=float, default=default.band[1])
+    parser.add_argument("--sigma-init", type=float, default=default.sigma_init)
 
 
 def save_pulse_csv(pulse: PulseWave, path) -> None:
@@ -86,9 +87,7 @@ def save_pulse_csv(pulse: PulseWave, path) -> None:
 
 def pulse_from_rows(headers, rows: np.ndarray) -> PulseWave:
     """A pulse from ``read_csv``'s output for an ``index,value`` pulse file."""
-    fs = header_float(headers, "fs")
-    if fs is None or not (np.isfinite(fs) and fs > 0):
-        raise InvalidHeader("missing or invalid '# fs=' header")
+    fs = header_fs(headers)
     check_width(rows, 2)
     if not len(rows):
         raise ParseError("pulse file has no data rows")

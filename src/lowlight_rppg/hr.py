@@ -18,38 +18,32 @@ _MIN_NFFT = 2**14
 _BLOCK_ROWS = 16
 
 
-def _band_spectrum(x, fs: float, band: tuple[float, float], nfft: int):
-    """(freqs, magnitude) of the ``nfft``-point rFFT along the last axis,
-    restricted to the bins inside ``band`` (inclusive).  A band above
-    the Nyquist frequency holds no bins and is a ConfigError."""
-    freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
-    bins = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
-    if bins.size == 0:
-        raise ConfigError(f"band {band} contains no FFT bins at fs={fs}")
-    keep = slice(bins[0], bins[-1] + 1)
-    return freqs[keep], np.abs(np.fft.rfft(x, n=nfft, axis=-1)[..., keep])
-
-
 def spectral_peak(x, fs: float, band: tuple[float, float], nfft: int) -> np.ndarray:
     """Frequency of the largest rFFT magnitude inside ``band``, per series.
 
     ``x`` is one series or an ``(..., T)`` stack of them; each series
     along the last axis is zero-padded to ``nfft`` points, which must be
-    at least T.  Ties resolve to the lower frequency because argmax
-    returns the first maximum.  The result has shape ``x.shape[:-1]``.
+    at least T.  ``band`` is inclusive; a band above the Nyquist
+    frequency holds no bins and is a ConfigError.  Ties resolve to the
+    lower frequency because argmax returns the first maximum.  The result
+    has shape ``x.shape[:-1]``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] > nfft:
         raise ValueError(f"nfft {nfft} is shorter than the series ({x.shape[-1]})")
-    freqs, mag = _band_spectrum(x, fs, band, nfft)
-    return freqs[np.argmax(mag, axis=-1)]
+    freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
+    bins = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
+    if bins.size == 0:
+        raise ConfigError(f"band {band} contains no FFT bins at fs={fs}")
+    keep = slice(bins[0], bins[-1] + 1)
+    mag = np.abs(np.fft.rfft(x, n=nfft, axis=-1)[..., keep])
+    return freqs[keep][np.argmax(mag, axis=-1)]
 
 
 @dataclass(frozen=True)
 class HrEstimate:
     bpm: float
     peak_freq: float
-    spectrum: tuple[np.ndarray, np.ndarray]  # (freqs, power) over the pulse band
 
 
 def _zscore(x):
@@ -66,19 +60,17 @@ def estimate_hr_series(samples, fs: float, min_duration_s: float = 10.0,
     """HR (bpm) from the spectral power peak of a pulse signal.
 
     The signal is z-score normalized (making the estimate amplitude
-    invariant) and zero-padded to at least 2^14 points; HR is 60 times the
-    argmax frequency of the FFT magnitude within ``band`` (Hz), picked as
-    in ``spectral_peak``.  Ties break toward the lower frequency (favoring
-    the fundamental over a harmonic); no peak interpolation is applied.
+    invariant) and zero-padded to at least 2^14 points; HR is 60 times its
+    ``spectral_peak`` within ``band`` (Hz).  Ties break toward the lower
+    frequency (favoring the fundamental over a harmonic); no peak
+    interpolation is applied.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < min_duration_s * fs:
         raise SeriesTooShort(
             f"need at least {min_duration_s} s of samples, got {x.size / fs:.2f} s")
-    band_freqs, mag = _band_spectrum(_zscore(x), fs, band, max(_MIN_NFFT, x.size))
-    peak = float(band_freqs[np.argmax(mag)])
-    return HrEstimate(bpm=60.0 * peak, peak_freq=peak,
-                      spectrum=(band_freqs, mag**2))
+    peak = float(spectral_peak(_zscore(x), fs, band, max(_MIN_NFFT, x.size)))
+    return HrEstimate(bpm=60.0 * peak, peak_freq=peak)
 
 
 def estimate_hr(pulse, band: tuple[float, float] = PULSE_BAND) -> HrEstimate:

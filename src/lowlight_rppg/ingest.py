@@ -154,6 +154,15 @@ def header_float(headers, key: str, default=None):
     return value
 
 
+def header_fs(headers) -> float:
+    """The ``fs`` header; InvalidHeader if it is missing or not a
+    positive, finite number."""
+    fs = header_float(headers, "fs")
+    if fs is None or not (np.isfinite(fs) and fs > 0):
+        raise InvalidHeader("missing '# fs=' header, or fs not positive and finite")
+    return fs
+
+
 def check_width(rows: np.ndarray, n_fields: int) -> None:
     """ParseError unless ``read_csv``'s rows, if any, have ``n_fields`` fields."""
     if len(rows) and rows.shape[1] != n_fields:
@@ -162,9 +171,7 @@ def check_width(rows: np.ndarray, n_fields: int) -> None:
 
 def trace_from_rows(headers, rows: np.ndarray) -> RawTrace:
     """A raw trace from ``read_csv``'s output for a trace file."""
-    fs = header_float(headers, "fs")
-    if fs is None or not (np.isfinite(fs) and fs > 0):
-        raise InvalidHeader("missing '# fs=' header, or fs not positive and finite")
+    fs = header_fs(headers)
     check_width(rows, 4)
     if len(rows) < 2:
         raise ParseError("trace must contain at least 2 rows")

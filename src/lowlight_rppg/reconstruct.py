@@ -31,37 +31,19 @@ from .ssa import decompose, default_window_length
 _BLOCK_ROWS = 64
 
 
-@dataclass(frozen=True)
-class GaussianWeightParams:
-    """Mean (reference HR) and spread of the component weight function, Hz."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-
-def gaussian_weight(f: float, params: GaussianWeightParams) -> float:
-    """Gaussian density w(f) = exp(-(f-mu)^2 / 2 sigma^2) / (sqrt(2 pi) sigma)."""
-    z = (f - params.mu) / params.sigma
-    return float(np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * params.sigma))
-
-
-def fuse_window(accepted, params: GaussianWeightParams) -> np.ndarray:
-    """Weighted average of component series with scalar weights w(f_p).
+def fuse_window(accepted, state: ReferenceHrState) -> np.ndarray:
+    """Weighted average of component series with scalar weights
+    w(f_p) = exp(-(f_p - f_r)^2 / 2 sigma_fr^2), normalised by their sum.
 
     Weights are evaluated in log space relative to the best-matching
     component, so far-off candidates underflow to zero weight instead of
-    producing 0/0.  The normalization makes the result invariant to
-    uniform weight scaling.
+    producing 0/0.
     """
     accepted = list(accepted)
     if not accepted:
         raise NoAcceptedComponents("fuse_window needs at least one component")
     freqs = np.array([c.dominant_freq for c in accepted])
-    exponents = -0.5 * ((freqs - params.mu) / params.sigma) ** 2
+    exponents = -0.5 * ((freqs - state.f_r) / state.sigma_fr) ** 2
     w = np.exp(exponents - exponents.max())
     stack = np.vstack([c.series for c in accepted])
     if stack.shape[0] != len(w) or len({len(c.series) for c in accepted}) != 1:
@@ -190,6 +172,10 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
         raise ConfigError("window must be an even number of samples and step >= 1")
     if hop % step:
         raise ConfigError(f"step ({step}) must divide the half-window hop ({hop})")
+    L = config.ssa_window or default_window_length(win, fs)
+    if not 2 <= L <= hop:
+        raise ConfigError(f"SSA window must satisfy 2 <= L <= {hop} "
+                          f"(half the {win}-sample window), got L={L}")
     T = len(trace)
     if T < win:
         raise TraceTooShort(f"trace has {T} samples, need at least {win}")
@@ -206,7 +192,6 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
         emitted_segs.extend(segs[(-b) % every::every].copy())
     sigma_fr = reference_sigmas(f_r, config.sigma_init).tolist()
 
-    L = config.ssa_window or default_window_length(win, fs)
     emitted = []
     records = []
     for i, (f, sigma) in enumerate(zip(f_r.tolist(), sigma_fr)):
@@ -218,8 +203,7 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
             state = ReferenceHrState(f_r=f, sigma_fr=sigma)
             dec = decompose(emitted_segs[i // every], L, max_components=config.sec_chn)
             sel = select_candidates(dec, fs, state, config.sec_chn, config.band)
-            params = GaussianWeightParams(mu=state.f_r, sigma=state.sigma_fr)
-            emitted.append((start, fuse_window(sel.accepted, params)))
+            emitted.append((start, fuse_window(sel.accepted, state)))
             n_accepted = len(sel.accepted)
             fallback = sel.fallback_used
         records.append(WindowRecord(

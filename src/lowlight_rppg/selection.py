@@ -24,11 +24,16 @@ _MIN_NFFT = 8192
 
 @dataclass(frozen=True)
 class ReferenceHrState:
-    """Running instantaneous reference HR and its dispersion, in Hz."""
+    """Reference HR ``f_r`` of one window and its dispersion ``sigma_fr``,
+    in Hz: the centre and half-width of the spectral mask, and the mean
+    and spread of the fusion weights."""
 
-    f_r: float | None = None
-    sigma_fr: float = SIGMA_INIT
-    history: tuple[float, ...] = ()
+    f_r: float
+    sigma_fr: float
+
+    def __post_init__(self):
+        if not self.sigma_fr > 0:
+            raise ValueError(f"sigma_fr must be positive, got {self.sigma_fr}")
 
 
 @dataclass(frozen=True)
@@ -94,20 +99,6 @@ def reference_sigmas(f_r, sigma_init: float) -> np.ndarray:
     return np.array(sigma, dtype=float)
 
 
-def update_reference(state: ReferenceHrState, green_window, fs: float,
-                     band: tuple[float, float] = PULSE_BAND) -> ReferenceHrState:
-    """Advance the reference HR with one 10 s green-channel window.
-
-    The instantaneous HR is the dominant in-band frequency of the window;
-    the dispersion follows ``reference_sigmas``, seeded with the incoming
-    state's ``sigma_fr`` until two windows have been seen.
-    """
-    f = dominant_frequency(green_window, fs, band)
-    history = state.history + (f,)
-    sigma = float(reference_sigmas(history, state.sigma_fr)[-1])
-    return ReferenceHrState(f_r=f, sigma_fr=sigma, history=history)
-
-
 def spectral_mask(candidates, state: ReferenceHrState,
                   band: tuple[float, float] = PULSE_BAND) -> list[MaskDecision]:
     """Accept candidates near the reference HR or its first harmonic.
@@ -117,8 +108,6 @@ def spectral_mask(candidates, state: ReferenceHrState,
     (fundamental) or |f_i/2 - f_r| <= 3*sigma (first harmonic, twice the
     reference).
     """
-    if state.f_r is None:
-        raise ValueError("reference HR not yet initialized")
     f_r, tol = state.f_r, 3.0 * state.sigma_fr
     decisions = []
     for cand in candidates:

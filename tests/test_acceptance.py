@@ -93,7 +93,7 @@ def test_criterion_5_mask_truth_table_and_property():
     """The four mask examples plus 1000 random triples vs an independent
     predicate."""
     def case(f_i, f_r, sigma):
-        state = ReferenceHrState(f_r=f_r, sigma_fr=sigma, history=(f_r,))
+        state = ReferenceHrState(f_r=f_r, sigma_fr=sigma)
         cand = CandidateComponent(series=np.zeros(4), dominant_freq=f_i,
                                   singular_value=1.0)
         return spectral_mask([cand], state)[0]

@@ -8,8 +8,8 @@ import pytest
 
 import lowlight_rppg
 
-from lowlight_rppg import RawTrace, SynthConfig, generate, save_trace_csv
-from lowlight_rppg.cli import load_pulse_csv, main
+from lowlight_rppg import PipelineConfig, RawTrace, SynthConfig, generate, save_trace_csv
+from lowlight_rppg.cli import _pipeline_config, build_parser, load_pulse_csv, main
 from lowlight_rppg.errors import ParseError
 
 
@@ -80,8 +80,10 @@ class TestExtract:
         (lambda lines: lines, ["--band-high", "20"]),
         (lambda lines: lines, ["--lambda", "1e8"]),
         (lambda lines: lines, ["--lambda", "1e300"]),
+        (lambda lines: lines, ["--ssa-window", "200"]),
+        (lambda lines: lines, ["--window-s", "0.01"]),
     ], ids=["nan-sample", "fs-inf", "sec-chn-0", "band-above-nyquist", "lambda-1e8",
-            "lambda-1e300"])
+            "lambda-1e300", "ssa-window-above-half", "window-under-4-samples"])
     def test_bad_input_exit_2_without_traceback(self, tmp_path, clean_trace,
                                                 capsys, edit, flags):
         path = tmp_path / "bad.csv"
@@ -185,6 +187,11 @@ class TestEvaluate:
         write_reference(ref, 72.0, [5.0])
         assert main(["evaluate", str(path), str(ref), str(tmp_path / "r.json")]) == 2
         assert "no data rows" in capsys.readouterr().err
+
+
+def test_pipeline_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["extract", "a", "b"])
+    assert _pipeline_config(args) == PipelineConfig()
 
 
 def test_load_pulse_csv_header_only_is_parse_error(tmp_path):

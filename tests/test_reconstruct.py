@@ -3,22 +3,20 @@ import pytest
 
 from lowlight_rppg import (
     CandidateComponent,
-    GaussianWeightParams,
     PipelineConfig,
     ReferenceHrState,
     bandpass,
     decompose,
     detrend,
+    dominant_frequency,
     estimate_hr,
     fuse_window,
-    gaussian_weight,
     generate,
     overlap_add,
     run_pipeline,
     select_candidates,
     snr,
     SynthConfig,
-    update_reference,
 )
 from lowlight_rppg.errors import (
     ConfigError,
@@ -27,6 +25,7 @@ from lowlight_rppg.errors import (
     WindowSpacingError,
 )
 from lowlight_rppg import ssa
+from lowlight_rppg.selection import reference_sigmas
 from lowlight_rppg.ssa import default_window_length
 
 FS = 30.0
@@ -37,53 +36,37 @@ def cand(f, series):
                               dominant_freq=f, singular_value=1.0)
 
 
-class TestGaussianWeight:
-    def test_peak_value(self):
-        p = GaussianWeightParams(mu=1.2, sigma=0.1)
-        assert abs(gaussian_weight(1.2, p) - 1.0 / (np.sqrt(2 * np.pi) * 0.1)) < 1e-9
-
-    def test_one_sigma_ratio(self):
-        p = GaussianWeightParams(mu=1.2, sigma=0.1)
-        peak = gaussian_weight(1.2, p)
-        assert abs(gaussian_weight(1.3, p) - peak * np.exp(-0.5)) < 1e-12
-
-    def test_three_sigma_ratio(self):
-        p = GaussianWeightParams(mu=1.0, sigma=0.05)
-        peak = gaussian_weight(1.0, p)
-        assert abs(gaussian_weight(1.15, p) - peak * np.exp(-4.5)) < 1e-12
-        assert abs(np.exp(-4.5) - 0.011109) < 1e-6
-
-    def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GaussianWeightParams(mu=1.0, sigma=0.0)
-
-
 class TestFuseWindow:
-    params = GaussianWeightParams(mu=1.2, sigma=0.1)
+    state = ReferenceHrState(f_r=1.2, sigma_fr=0.1)
 
     def test_single_component_identity(self):
         s = np.sin(np.linspace(0, 7, 50))
-        out = fuse_window([cand(2.0, s)], self.params)
+        out = fuse_window([cand(2.0, s)], self.state)
         assert np.allclose(out, s, atol=1e-15)
 
     def test_identical_components(self):
         s = np.sin(np.linspace(0, 7, 50))
-        out = fuse_window([cand(1.2, s), cand(2.4, s)], self.params)
+        out = fuse_window([cand(1.2, s), cand(2.4, s)], self.state)
         assert np.allclose(out, s, atol=1e-12)
 
     def test_hand_computed_weight_ratio(self):
         a = np.ones(10)
         b = np.full(10, 3.0)
-        # b sits two sigmas off the mean: w_b / w_a = exp(-2)
-        out = fuse_window([cand(1.2, a), cand(1.4, b)], self.params)
-        w = np.exp(-2.0)
-        expected = (1.0 * 1.0 + w * 3.0) / (1.0 + w)
-        assert np.allclose(out, expected, atol=1e-12)
+        # a sits on the reference HR and b k sigmas off it: w_b / w_a =
+        # exp(-k^2 / 2)
+        for f_r, sigma, f_b, k in [(1.2, 0.1, 1.4, 2), (1.2, 0.1, 1.3, 1),
+                                   (1.0, 0.05, 1.15, 3)]:
+            out = fuse_window([cand(f_r, a), cand(f_b, b)],
+                              ReferenceHrState(f_r=f_r, sigma_fr=sigma))
+            w = np.exp(-0.5 * k * k)
+            expected = (1.0 * 1.0 + w * 3.0) / (1.0 + w)
+            assert np.allclose(out, expected, atol=1e-12)
+        assert abs(np.exp(-4.5) - 0.011109) < 1e-6
 
     def test_convex_combination(self):
         rng = np.random.default_rng(0)
         comps = [cand(rng.uniform(0.8, 3.5), rng.normal(size=40)) for _ in range(5)]
-        out = fuse_window(comps, self.params)
+        out = fuse_window(comps, self.state)
         stack = np.vstack([c.series for c in comps])
         assert np.all(out >= stack.min(axis=0) - 1e-12)
         assert np.all(out <= stack.max(axis=0) + 1e-12)
@@ -91,13 +74,13 @@ class TestFuseWindow:
     def test_far_off_component_does_not_nan(self):
         # with sigma floored at 0.01 Hz, raw densities underflow; the
         # log-space normalization must keep the fusion finite
-        p = GaussianWeightParams(mu=1.2, sigma=0.01)
-        out = fuse_window([cand(3.9, np.ones(5)), cand(3.8, np.full(5, 2.0))], p)
+        st = ReferenceHrState(f_r=1.2, sigma_fr=0.01)
+        out = fuse_window([cand(3.9, np.ones(5)), cand(3.8, np.full(5, 2.0))], st)
         assert np.all(np.isfinite(out))
 
     def test_empty_list(self):
         with pytest.raises(NoAcceptedComponents):
-            fuse_window([], self.params)
+            fuse_window([], self.state)
 
 
 class TestOverlapAdd:
@@ -138,27 +121,30 @@ class TestOverlapAdd:
 
 
 def per_window_pipeline(trace, config):
-    """The pipeline one window at a time: per-window preprocessing and a
-    serial update_reference state, as the reference for the batched
-    stages of run_pipeline.  Returns the pulse and per-window (f_r, sigma)."""
+    """The pipeline one window at a time: per-window preprocessing, a
+    per-window ``dominant_frequency`` and the last entry of
+    ``reference_sigmas`` over the reference HRs so far, as the reference
+    for the batched stages of run_pipeline.  Returns the pulse and
+    per-window (f_r, sigma)."""
     fs = trace.fs
     win = int(round(config.window_s * fs))
     step = int(round(config.step_s * fs))
     hop = win // 2
     L = config.ssa_window or default_window_length(win, fs)
     green = trace.green()
-    state = ReferenceHrState(sigma_fr=config.sigma_init)
-    emitted, refs = [], []
+    history, emitted, refs = [], [], []
     for start in range(0, len(trace) - win + 1, step):
         seg = bandpass(detrend(green[start:start + win], config.lam), fs,
                        config.band[0], config.band[1])
-        state = update_reference(state, seg, fs, config.band)
+        history.append(dominant_frequency(seg, fs, config.band))
+        state = ReferenceHrState(
+            f_r=history[-1],
+            sigma_fr=float(reference_sigmas(history, config.sigma_init)[-1]))
         refs.append((state.f_r, state.sigma_fr))
         if start % hop == 0:
             dec = decompose(seg, L, max_components=config.sec_chn)
             sel = select_candidates(dec, fs, state, config.sec_chn, config.band)
-            params = GaussianWeightParams(mu=state.f_r, sigma=state.sigma_fr)
-            emitted.append((start, fuse_window(sel.accepted, params)))
+            emitted.append((start, fuse_window(sel.accepted, state)))
     return overlap_add(emitted, win, hop), refs
 
 

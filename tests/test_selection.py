@@ -8,7 +8,6 @@ from lowlight_rppg import (
     dominant_frequency,
     select_candidates,
     spectral_mask,
-    update_reference,
 )
 from lowlight_rppg.errors import NoComponents, ZeroSignal
 from lowlight_rppg.selection import SIGMA_FLOOR, MaskReason, reference_sigmas
@@ -24,7 +23,7 @@ def cand(f, sv=1.0, series=None):
 
 
 def state(f_r, sigma):
-    return ReferenceHrState(f_r=f_r, sigma_fr=sigma, history=(f_r,))
+    return ReferenceHrState(f_r=f_r, sigma_fr=sigma)
 
 
 class TestDominantFrequency:
@@ -60,41 +59,11 @@ class TestDominantFrequency:
         assert abs(f - 1.23) <= FS / 8192 + 1e-9
 
 
-class TestUpdateReference:
-    def test_first_window_keeps_initial_sigma(self):
-        t = np.arange(300) / FS
-        st = update_reference(ReferenceHrState(), np.sin(2 * np.pi * 1.2 * t), FS)
-        assert abs(st.f_r - 1.2) < 0.01
-        assert st.sigma_fr == 0.05
-
-    def test_first_window_takes_seeded_sigma(self):
-        t = np.arange(300) / FS
-        st = update_reference(ReferenceHrState(sigma_fr=0.5),
-                              np.sin(2 * np.pi * 1.2 * t), FS)
-        assert st.sigma_fr == 0.5
-
-    def test_band_limits_the_search(self):
-        t = np.arange(300) / FS
-        w = np.sin(2 * np.pi * 1.2 * t) + 0.5 * np.sin(2 * np.pi * 2.4 * t)
-        st = update_reference(ReferenceHrState(), w, FS, band=(1.5, 4.0))
-        assert abs(st.f_r - 2.4) < 0.01
-
-    def test_degenerate_history_hits_floor(self):
-        t = np.arange(300) / FS
-        w = np.sin(2 * np.pi * 1.2 * t)
-        st = ReferenceHrState()
-        for _ in range(3):
-            st = update_reference(st, w, FS)
-        assert st.sigma_fr == 0.01
-
-    def test_sample_std(self):
-        st = ReferenceHrState(f_r=1.3, sigma_fr=0.05, history=(1.1, 1.2))
-        t = np.arange(300) / FS
-        st = update_reference(st, np.sin(2 * np.pi * 1.3 * t), FS)
-        assert len(st.history) == 3
-        # history ~ [1.1, 1.2, 1.3], sample std 0.1
-        assert abs(st.sigma_fr - np.std(st.history, ddof=1)) < 1e-12
-        assert abs(st.sigma_fr - 0.1) < 0.01
+class TestReferenceHrState:
+    def test_sigma_must_be_positive(self):
+        for sigma in (0.0, -0.05, float("nan")):
+            with pytest.raises(ValueError):
+                ReferenceHrState(f_r=1.0, sigma_fr=sigma)
 
 
 class TestReferenceSigmas:
@@ -119,13 +88,6 @@ class TestReferenceSigmas:
 
     def test_empty(self):
         assert reference_sigmas([], 0.05).shape == (0,)
-
-    def test_update_reference_uses_the_same_rule(self):
-        t = np.arange(300) / FS
-        st = ReferenceHrState(sigma_fr=0.07)
-        for f in (1.1, 1.3, 1.25, 1.6):
-            st = update_reference(st, np.sin(2 * np.pi * f * t), FS)
-        assert st.sigma_fr == reference_sigmas(st.history, 0.07)[-1]
 
 
 class TestSpectralMask:
