@@ -36,6 +36,27 @@ def cand(f, series):
                               dominant_freq=f, singular_value=1.0)
 
 
+def fused_weight_ratio(f_r, sigma, f_b):
+    """w(f_b) / w(f_r) as fuse_window applies it: the fusion of a series
+    of zeros at f_r and a series of ones at f_b is w_b / (w_r + w_b)."""
+    out = fuse_window([cand(f_r, np.zeros(4)), cand(f_b, np.ones(4))],
+                      ReferenceHrState(f_r=f_r, sigma_fr=sigma))
+    assert np.ptp(out) == 0.0
+    return out[0] / (1.0 - out[0])
+
+
+class TestGaussianWeight:
+    """The Gaussian weight of fuse_window, as ratios to the weight at the
+    reference HR (the normalisation removes the density constant)."""
+
+    def test_one_sigma_ratio(self):
+        assert abs(fused_weight_ratio(1.2, 0.1, 1.3) - np.exp(-0.5)) < 1e-12
+
+    def test_three_sigma_ratio(self):
+        assert abs(fused_weight_ratio(1.0, 0.05, 1.15) - np.exp(-4.5)) < 1e-12
+        assert abs(np.exp(-4.5) - 0.011109) < 1e-6
+
+
 class TestFuseWindow:
     state = ReferenceHrState(f_r=1.2, sigma_fr=0.1)
 
@@ -52,16 +73,11 @@ class TestFuseWindow:
     def test_hand_computed_weight_ratio(self):
         a = np.ones(10)
         b = np.full(10, 3.0)
-        # a sits on the reference HR and b k sigmas off it: w_b / w_a =
-        # exp(-k^2 / 2)
-        for f_r, sigma, f_b, k in [(1.2, 0.1, 1.4, 2), (1.2, 0.1, 1.3, 1),
-                                   (1.0, 0.05, 1.15, 3)]:
-            out = fuse_window([cand(f_r, a), cand(f_b, b)],
-                              ReferenceHrState(f_r=f_r, sigma_fr=sigma))
-            w = np.exp(-0.5 * k * k)
-            expected = (1.0 * 1.0 + w * 3.0) / (1.0 + w)
-            assert np.allclose(out, expected, atol=1e-12)
-        assert abs(np.exp(-4.5) - 0.011109) < 1e-6
+        # b sits two sigmas off the mean: w_b / w_a = exp(-2)
+        out = fuse_window([cand(1.2, a), cand(1.4, b)], self.state)
+        w = np.exp(-2.0)
+        expected = (1.0 * 1.0 + w * 3.0) / (1.0 + w)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_convex_combination(self):
         rng = np.random.default_rng(0)

@@ -3,9 +3,13 @@ import pytest
 
 from lowlight_rppg import (
     CandidateComponent,
+    PipelineConfig,
     ReferenceHrState,
+    SynthConfig,
     decompose,
     dominant_frequency,
+    generate,
+    run_pipeline,
     select_candidates,
     spectral_mask,
 )
@@ -57,6 +61,29 @@ class TestDominantFrequency:
         t = np.arange(300) / FS
         f = dominant_frequency(np.sin(2 * np.pi * 1.23 * t), FS)
         assert abs(f - 1.23) <= FS / 8192 + 1e-9
+
+
+class TestUpdateReference:
+    """Per-window reference-HR tracking as run_pipeline does it."""
+
+    def test_band_limits_the_search(self):
+        # the fundamental at 1.2 Hz is outside the band; its harmonic at
+        # 2.4 Hz becomes the reference HR of every window.  The harmonic is
+        # weak enough that the fundamental left after band-pass filtering
+        # would still win a search over the whole pulse band.
+        trace = generate(SynthConfig(hr_bpm=72.0, duration_s=30.0,
+                                     harmonic_ratio=0.05))
+        flags = run_pipeline(trace, PipelineConfig(band=(1.5, 4.0))).window_flags
+        assert flags
+        assert all(abs(r.f_r - 2.4) < 0.01 for r in flags)
+
+    def test_degenerate_history_hits_floor(self):
+        trace = generate(SynthConfig(hr_bpm=72.0, duration_s=30.0,
+                                     harmonic_ratio=0.0))
+        flags = run_pipeline(trace).window_flags
+        assert len(flags) >= 3
+        assert flags[0].sigma_fr == 0.05
+        assert all(r.sigma_fr == SIGMA_FLOOR == 0.01 for r in flags[1:])
 
 
 class TestReferenceHrState:
