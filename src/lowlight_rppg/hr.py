@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,31 +14,89 @@ from .preprocess import PULSE_BAND
 # Zero-pad target: <= 0.11 bpm resolution at fs = 30 Hz.
 _MIN_NFFT = 2**14
 
-# sliding_hr searches this many windows per spectral_peak call: their
-# 2^14-point spectra take about 2 MB, whatever the series length.
+# sliding_hr searches this many windows per spectral_peak call.  On the
+# FFT route their 2^14-point spectra take about 2 MB, whatever the series
+# length; on the cosine route a block needs far less (16 x 1802 power
+# values for 10 s windows at 30 Hz).
 _BLOCK_ROWS = 16
+
+# spectral_peak takes the cosine route when its table has at most this
+# many entries (8 MB); larger searches (full-spectrum candidate scoring,
+# single series of a minute or more) were measured faster on the FFT.
+_MAX_TABLE_ENTRIES = 2**20
+
+
+@functools.lru_cache(maxsize=4)
+def _cosine_table(T: int, nfft: int, k0: int, m: int) -> np.ndarray:
+    """Read-only ``(T, m)`` table ``w_tau cos(2 pi tau k / nfft)`` over lags
+    ``tau < T`` and bins ``k0 <= k < k0 + m``, with ``w_0 = 1`` and
+    ``w_tau = 2`` otherwise.
+
+    Phases are exact integers ``tau k mod nfft`` looked up in one
+    nfft-point wave, and lags are filled 64 at a time, so the temporaries
+    are that wave and a 64-lag block of phases.  At most four tables
+    (32 MB) are kept.
+    """
+    wave = 2.0 * np.cos(np.arange(nfft) * (2.0 * np.pi / nfft))
+    table = np.empty((T, m))
+    table[:1] = 1.0
+    k = np.arange(k0, k0 + m)
+    for lag in range(1, T, 64):
+        phase = np.arange(lag, min(lag + 64, T))[:, None] * k
+        phase %= nfft
+        np.take(wave, phase, out=table[lag:lag + len(phase)])
+    table.flags.writeable = False
+    return table
+
+
+def _autocorrelation(x) -> np.ndarray:
+    """Lags ``0..T-1`` of each row's autocorrelation, from one
+    ``rfft``/``irfft`` pair of ``2^ceil(log2(2T - 1))`` points.
+
+    Rows are first divided by a power of two near their max ``|x|``, so
+    ``|F|^2`` neither overflows nor underflows; the division is exact for
+    normal-range rows and leaves an all-zero row at zero.
+    """
+    T = x.shape[-1]
+    _, exponent = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0))
+    n = 1 << (2 * T - 2).bit_length()
+    spectrum = np.fft.rfft(np.ldexp(x, -exponent), n=n, axis=-1)
+    return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=n, axis=-1)[..., :T]
 
 
 def spectral_peak(x, fs: float, band: tuple[float, float], nfft: int) -> np.ndarray:
-    """Frequency of the largest rFFT magnitude inside ``band``, per series.
+    """Frequency of the largest ``nfft``-point rFFT magnitude inside
+    ``band``, per series.
 
     ``x`` is one series or an ``(..., T)`` stack of them; each series
-    along the last axis is zero-padded to ``nfft`` points, which must be
-    at least T.  ``band`` is inclusive; a band above the Nyquist
-    frequency holds no bins and is a ConfigError.  Ties resolve to the
-    lower frequency because argmax returns the first maximum.  The result
-    has shape ``x.shape[:-1]``.
+    along the last axis is searched as if zero-padded to ``nfft`` points,
+    which must be at least T.  ``band`` is inclusive; a band above the
+    Nyquist frequency holds no bins and is a ConfigError.  Ties resolve
+    to the lower frequency because argmax returns the first maximum.
+    The result has shape ``x.shape[:-1]``.
+
+    Two routes give the zero-padded FFT's argmax up to rounding.  When
+    the band's m bins times T is at most ``_MAX_TABLE_ENTRIES``, the
+    in-band power is ``P[k] = sum_tau w_tau r[tau] cos(2 pi tau k / nfft)``
+    from each row's autocorrelation ``r``: one GEMM against a cached
+    cosine table (``_cosine_table``).  Otherwise the rows are zero-padded
+    and transformed.  The route depends only on ``(T, nfft, band)``, so a
+    stack and its single rows take the same one.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] > nfft:
-        raise ValueError(f"nfft {nfft} is shorter than the series ({x.shape[-1]})")
+    T = x.shape[-1]
+    if T > nfft:
+        raise ValueError(f"nfft {nfft} is shorter than the series ({T})")
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
     bins = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
     if bins.size == 0:
         raise ConfigError(f"band {band} contains no FFT bins at fs={fs}")
-    keep = slice(bins[0], bins[-1] + 1)
-    mag = np.abs(np.fft.rfft(x, n=nfft, axis=-1)[..., keep])
-    return freqs[keep][np.argmax(mag, axis=-1)]
+    k0, m = int(bins[0]), bins.size
+    if T * m <= _MAX_TABLE_ENTRIES:
+        score = _autocorrelation(x) @ _cosine_table(T, nfft, k0, m)
+    else:
+        score = np.abs(np.fft.rfft(x, n=nfft, axis=-1)[..., k0:k0 + m])
+    return freqs[k0:k0 + m][np.argmax(score, axis=-1)]
 
 
 @dataclass(frozen=True)
@@ -91,7 +150,7 @@ def sliding_hr(samples, fs: float, win_s: float = 10.0, step_s: float = 1.0,
     step = int(round(step_s * fs))
     if win < 1 or step < 1:
         raise ConfigError(f"window ({win}) and step ({step}) must be at least one sample")
-    if x.size < win or win < win_s * fs:
+    if x.size < win:
         raise SeriesTooShort(f"need at least {win_s} s of samples")
     windows = sliding_window_view(x, win)[::step]
     nfft = max(_MIN_NFFT, win)

@@ -127,6 +127,17 @@ class TestEvaluate:
         report = json.loads(report_path.read_text())
         assert report["mae_bpm"] <= 1.0
 
+    def test_rate_whose_window_rounds_down(self, tmp_path):
+        # at 30.04 Hz a 10 s window is round(300.4) = 300 samples
+        trace = tmp_path / "trace.csv"
+        save_trace_csv(generate(SynthConfig(hr_bpm=72.0, fs=30.04,
+                                            noise_rms=(0.0, 0.0, 0.0))), trace)
+        ref = tmp_path / "ref.csv"
+        write_reference(ref, 72.0, np.arange(5.0, 56.0, 1.0))
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", str(trace), str(ref), str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["mae_bpm"] <= 1.0
+
     def test_zero_step_exit_2(self, tmp_path, clean_trace):
         out = tmp_path / "pulse.csv"
         assert main(["extract", str(clean_trace), str(out)]) == 0
@@ -260,6 +271,13 @@ class TestSweep:
             if method == "green-baseline":
                 baseline_rows[float(level)] = float(snr_db)
         assert abs((baseline_rows[1.0] - baseline_rows[0.1]) - 20.0) <= 2.0
+
+    def test_rate_whose_window_rounds_down(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"fs": 30.04, "duration_s": 60}))
+        report = tmp_path / "report.csv"
+        assert main(["sweep", str(cfg), str(report), "--levels", "1.0"]) == 0
+        assert len(report.read_text().strip().splitlines()) == 3
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -1,16 +1,23 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from lowlight_rppg import (
     SynthConfig,
+    decompose,
     estimate_hr_series,
     generate,
     green_baseline_signal,
+    hr,
     run_pipeline,
+    select_candidates,
     sliding_hr,
     spectral_peak,
 )
 from lowlight_rppg.errors import ConfigError, SeriesTooShort, ZeroSignal
+from lowlight_rppg.selection import ReferenceHrState
 
 FS = 30.0
 
@@ -105,7 +112,7 @@ def per_window_sliding_hr(x, fs, win_s=10.0, step_s=1.0):
     """sliding_hr one window at a time, as the reference for its batching."""
     win, step = int(round(win_s * fs)), int(round(step_s * fs))
     return [(start / fs + win_s / 2.0,
-             estimate_hr_series(x[start:start + win], fs, min_duration_s=win_s).bpm)
+             estimate_hr_series(x[start:start + win], fs, min_duration_s=win / fs).bpm)
             for start in range(0, x.size - win + 1, step)]
 
 
@@ -143,3 +150,122 @@ def test_band_below_default_reaches_hr():
     assert abs(estimate_hr_series(x, FS, band=(0.5, 4.0)).bpm - 36.0) <= 0.2
     for _, bpm in sliding_hr(x, FS, band=(0.5, 4.0)):
         assert abs(bpm - 36.0) <= 0.5
+
+
+@pytest.mark.parametrize("fs", [30.04, 25.02])
+def test_sliding_hr_at_rate_whose_window_rounds_down(fs):
+    # round(10 fs) < 10 fs: a window is round(win_s * fs) samples
+    t = np.arange(int(60.0 * fs)) / fs
+    windows = sliding_hr(np.sin(2 * np.pi * 1.2 * t), fs)
+    assert len(windows) == 51
+    for _, bpm in windows:
+        assert abs(bpm - 72.0) <= 0.5
+
+
+# (fs, T, nfft) of the searches that take the cosine route: the 30 Hz and
+# 60 Hz reference searches and sliding_hr at 30 Hz.
+COSINE_SHAPES = [(30.0, 300, 8192), (60.0, 600, 8192), (30.0, 300, 16384)]
+BAND = (0.7, 4.0)
+
+
+def search_stacks(fs, T, seed=0):
+    """A noisy-tone stack and a random-walk stack of 64 rows each."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(T) / fs
+    f0 = rng.uniform(0.8, 3.8, size=64)
+    tones = np.sin(2 * np.pi * f0[:, None] * t + rng.uniform(0, 6.3, size=(64, 1)))
+    tones += rng.normal(scale=1.5, size=(64, T))
+    walks = np.cumsum(rng.normal(size=(64, T)), axis=1)
+    return [tones, walks - walks.mean(axis=1, keepdims=True)]
+
+
+def band_bins(fs, nfft):
+    freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
+    bins = np.flatnonzero((freqs >= BAND[0]) & (freqs <= BAND[1]))
+    return int(bins[0]), bins.size
+
+
+@pytest.mark.parametrize("fs, T, nfft", COSINE_SHAPES)
+def test_cosine_route_matches_fft_route(fs, T, nfft, monkeypatch):
+    hr._cosine_table.cache_clear()
+    stacks = search_stacks(fs, T)
+    cosine = [spectral_peak(x, fs, BAND, nfft) for x in stacks]
+    assert hr._cosine_table.cache_info().currsize == 1
+    monkeypatch.setattr(hr, "_MAX_TABLE_ENTRIES", 0)
+    fft = [spectral_peak(x, fs, BAND, nfft) for x in stacks]
+    for a, b in zip(cosine, fft):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("fs, T, nfft", COSINE_SHAPES)
+def test_cosine_power_is_zero_padded_power(fs, T, nfft):
+    k0, m = band_bins(fs, nfft)
+    for x in search_stacks(fs, T, seed=1):
+        # max |x| = 0.75 per row, so the autocorrelation leaves rows unscaled
+        x = 0.75 * x / np.max(np.abs(x), axis=1, keepdims=True)
+        power = np.abs(np.fft.rfft(x, n=nfft, axis=1))**2
+        cosine = hr._autocorrelation(x) @ hr._cosine_table(T, nfft, k0, m)
+        err = np.max(np.abs(cosine - power[:, k0:k0 + m]), axis=1)
+        assert np.all(err <= 1e-12 * power.max(axis=1))
+
+
+@pytest.mark.parametrize("cap", [hr._MAX_TABLE_ENTRIES, 0], ids=["cosine", "fft"])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_extreme_scale_keeps_peak(cap, scale, monkeypatch):
+    monkeypatch.setattr(hr, "_MAX_TABLE_ENTRIES", cap)
+    x = np.sin(2 * np.pi * 1.3 * np.arange(300) / FS)
+    unscaled = float(spectral_peak(x, FS, BAND, 8192))
+    assert abs(unscaled - 1.3) <= FS / 8192
+    assert float(spectral_peak(scale * x, FS, BAND, 8192)) == unscaled
+
+
+def test_large_searches_take_fft_route(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("cosine table built for a large search")
+
+    monkeypatch.setattr(hr, "_cosine_table", no_table)
+    for fs, T in [(30.0, 300), (60.0, 600)]:
+        t = np.arange(T) / fs
+        dec = decompose(np.sin(2 * np.pi * 1.2 * t) + 0.5 * np.sin(2 * np.pi * 0.3 * t),
+                        L=T // 3, max_components=10)
+        sel = select_candidates(dec, fs, ReferenceHrState(f_r=1.2, sigma_fr=0.05))
+        assert any(abs(c.dominant_freq - 1.2) < 0.05 for c in sel.accepted)
+    t = np.arange(1800) / FS
+    assert abs(estimate_hr_series(np.sin(2 * np.pi * 1.2 * t), FS).bpm - 72.0) <= 0.2
+
+
+def test_cosine_table_cache_is_bounded_and_read_only():
+    hr._cosine_table.cache_clear()
+    for k0 in range(6):
+        table = hr._cosine_table(8, 64, k0, 3)
+    assert hr._cosine_table.cache_info().currsize == 4
+    with pytest.raises(ValueError):
+        table[1, 1] = 0.0
+    tau, k = np.arange(8)[:, None], np.arange(5, 8)
+    expected = np.where(tau == 0, 1.0, 2.0) * np.cos(2 * np.pi * (tau * k % 64) / 64)
+    assert np.array_equal(table, expected)
+
+
+def test_shared_table_cache_under_threads():
+    t = np.arange(1800) / FS
+    rng = np.random.default_rng(7)
+    signals = [np.sin(2 * np.pi * f * t) + rng.normal(scale=0.5, size=t.size)
+               for f in (1.0, 1.3, 1.7, 2.2)]
+    results = [None] * len(signals)
+
+    def work(i):
+        results[i] = sliding_hr(signals[i], FS)
+
+    hr._cosine_table.cache_clear()
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(signals))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [sliding_hr(x, FS) for x in signals]
