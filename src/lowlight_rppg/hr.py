@@ -9,16 +9,21 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, SeriesTooShort, ZeroSignal
-from .preprocess import PULSE_BAND
+from .preprocess import PULSE_BAND, pow2_scaled
 
 # Zero-pad target: <= 0.11 bpm resolution at fs = 30 Hz.
 _MIN_NFFT = 2**14
 
 # sliding_hr searches this many windows per spectral_peak call.  On the
-# FFT route their 2^14-point spectra take about 2 MB, whatever the series
-# length; on the cosine route a block needs far less (16 x 1802 power
-# values for 10 s windows at 30 Hz).
-_BLOCK_ROWS = 16
+# cosine route, which 10 s windows at 30 and 60 Hz take, each call streams
+# the whole table (300 x 1802 entries, 4.3 MB, at 30 Hz) once, so larger
+# blocks stream it fewer times.
+_BLOCK_ROWS = 64
+
+# spectral_peak's FFT route transforms this many rows at a time, so its
+# zero-padded spectra (16 x 4097 complex values, 1 MB, at 8192 points)
+# do not grow with the row count.
+_FFT_ROWS = 16
 
 # spectral_peak takes the cosine route when its table has at most this
 # many entries (8 MB); larger searches (full-spectrum candidate scoring,
@@ -53,14 +58,12 @@ def _autocorrelation(x) -> np.ndarray:
     """Lags ``0..T-1`` of each row's autocorrelation, from one
     ``rfft``/``irfft`` pair of ``2^ceil(log2(2T - 1))`` points.
 
-    Rows are first divided by a power of two near their max ``|x|``, so
-    ``|F|^2`` neither overflows nor underflows; the division is exact for
-    normal-range rows and leaves an all-zero row at zero.
+    Rows are first divided by a power of two near their max ``|x|``
+    (``pow2_scaled``), so ``|F|^2`` neither overflows nor underflows.
     """
     T = x.shape[-1]
-    _, exponent = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0))
     n = 1 << (2 * T - 2).bit_length()
-    spectrum = np.fft.rfft(np.ldexp(x, -exponent), n=n, axis=-1)
+    spectrum = np.fft.rfft(pow2_scaled(x)[0], n=n, axis=-1)
     return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=n, axis=-1)[..., :T]
 
 
@@ -80,8 +83,9 @@ def spectral_peak(x, fs: float, band: tuple[float, float], nfft: int) -> np.ndar
     in-band power is ``P[k] = sum_tau w_tau r[tau] cos(2 pi tau k / nfft)``
     from each row's autocorrelation ``r``: one GEMM against a cached
     cosine table (``_cosine_table``).  Otherwise the rows are zero-padded
-    and transformed.  The route depends only on ``(T, nfft, band)``, so a
-    stack and its single rows take the same one.
+    and transformed ``_FFT_ROWS`` at a time, so the spectra held at once
+    do not grow with the row count.  The route depends only on
+    ``(T, nfft, band)``, so a stack and its single rows take the same one.
     """
     x = np.asarray(x, dtype=float)
     T = x.shape[-1]
@@ -93,10 +97,15 @@ def spectral_peak(x, fs: float, band: tuple[float, float], nfft: int) -> np.ndar
         raise ConfigError(f"band {band} contains no FFT bins at fs={fs}")
     k0, m = int(bins[0]), bins.size
     if T * m <= _MAX_TABLE_ENTRIES:
-        score = _autocorrelation(x) @ _cosine_table(T, nfft, k0, m)
+        peak = np.argmax(_autocorrelation(x) @ _cosine_table(T, nfft, k0, m), axis=-1)
     else:
-        score = np.abs(np.fft.rfft(x, n=nfft, axis=-1)[..., k0:k0 + m])
-    return freqs[k0:k0 + m][np.argmax(score, axis=-1)]
+        rows = x.reshape(-1, T)
+        peak = np.empty(len(rows), dtype=np.intp)
+        for b in range(0, len(rows), _FFT_ROWS):
+            spectra = np.fft.rfft(rows[b:b + _FFT_ROWS], n=nfft, axis=-1)[:, k0:k0 + m]
+            peak[b:b + len(spectra)] = np.argmax(np.abs(spectra), axis=-1)
+        peak = peak.reshape(x.shape[:-1])
+    return freqs[k0:k0 + m][peak]
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,12 @@ class HrEstimate:
 
 
 def _zscore(x):
-    """Rows of ``x`` (along the last axis) at zero mean and unit std."""
+    """Rows of ``x`` (along the last axis) at zero mean and unit std.
+
+    Rows are first divided by a power of two near their max ``|x|``
+    (``pow2_scaled``), so the std neither overflows nor underflows.
+    """
+    x = pow2_scaled(x)[0]
     x = x - x.mean(axis=-1, keepdims=True)
     std = x.std(axis=-1, keepdims=True)
     if np.any(std == 0.0):

@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, PairingError, SeriesTooShort
-from .preprocess import PULSE_BAND
+from .preprocess import PULSE_BAND, pow2_scaled
 from .reconstruct import periodic_hann
 
 SNR_CAP_DB = 60.0          # reported ceiling for zero-residual (pure tone) inputs
@@ -27,12 +27,14 @@ def snr(series, fs: float, hr_ref_bpm: float) -> float:
 
     The [0.7, 4] Hz band is part of the metric's definition and does not
     follow a configured pulse band, so SNR values stay comparable across
-    configurations.
+    configurations.  The power is taken of the series divided by a power
+    of two near its max ``|x|`` (``pow2_scaled``), which leaves the ratio
+    unchanged but keeps it from overflowing or underflowing.
     """
     f_ref = hr_ref_bpm / 60.0
     if not (PULSE_BAND[0] <= f_ref <= PULSE_BAND[1]):
         raise ConfigError(f"reference HR {hr_ref_bpm} bpm outside the pulse band")
-    freqs, power = spectrum(series, fs)
+    freqs, power = spectrum(pow2_scaled(np.asarray(series, dtype=float))[0], fs)
     in_band = (freqs >= PULSE_BAND[0]) & (freqs <= PULSE_BAND[1])
     sig = (np.abs(freqs - f_ref) <= FUND_HALFWIDTH_HZ) | \
           (np.abs(freqs - 2.0 * f_ref) <= HARM_HALFWIDTH_HZ)

@@ -30,6 +30,21 @@ def check_lambda(lam) -> float:
     return float(lam)
 
 
+def pow2_scaled(x, axis=-1):
+    """``(x / 2**e, e)``, with ``2**e`` the power of two just above max
+    ``|x|`` along ``axis`` (``None``: all of ``x``) and ``e`` kept
+    broadcastable.
+
+    The division is exact unless it takes an entry below the normal
+    range, so anything scale-invariant computed from the scaled copy is
+    unchanged, while a sum of its squares neither overflows nor, unless
+    the slice is all zero, underflows to zero.  An all-zero slice keeps
+    ``e = 0``.
+    """
+    _, exponent = np.frexp(np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0))
+    return np.ldexp(x, -exponent), exponent
+
+
 def _trend_operator(n: int, lam: float):
     """``(g, p, w)`` such that the trend of n-sample rows ``x`` is
     ``irfft(g * rfft([x, x[::-1]]))[:n] + (x @ p.T) @ w``.

@@ -21,39 +21,55 @@ from .selection import (
     ReferenceHrState,
     dominant_frequencies,
     reference_sigmas,
-    select_candidates,
+    select_rows,
 )
-from .ssa import decompose, default_window_length
+from .ssa import decompose_rows, default_window_length
 
-# run_pipeline preprocesses and scores the window stack this many rows at
-# a time: their 8192-point spectra take about 4 MB, so peak memory does
-# not grow with the trace length.
+# run_pipeline takes the window stack through preprocessing and the
+# reference search, and the emitted windows through SSA, selection and
+# fusion, this many rows at a time, so peak memory does not grow with
+# the trace length.
 _BLOCK_ROWS = 64
 
 
-def fuse_window(accepted, state: ReferenceHrState) -> np.ndarray:
-    """Weighted average of component series with scalar weights
-    w(f_p) = exp(-(f_p - f_r)^2 / 2 sigma_fr^2), normalised by their sum.
-
-    Weights are evaluated in log space relative to the best-matching
-    component, so far-off candidates underflow to zero weight instead of
-    producing 0/0.
+def fuse_rows(components, freqs, accepted, f_r, sigma_fr) -> np.ndarray:
+    """Per window of ``(n, k, T)`` components, the average of those that
+    ``accepted`` marks, with weights w(f_p) =
+    exp(-(f_p - f_r)^2 / 2 sigma_fr^2) taken in log space relative to the
+    best-matching component, so far-off candidates underflow to zero
+    weight instead of producing 0/0.
     """
+    f_r, sigma_fr = np.asarray(f_r)[:, None], np.asarray(sigma_fr)[:, None]
+    exponents = np.where(accepted, -0.5 * ((freqs - f_r) / sigma_fr) ** 2, -np.inf)
+    w = np.exp(exponents - exponents.max(axis=1, keepdims=True))
+    return (w[..., None] * components).sum(axis=1) / w.sum(axis=1, keepdims=True)
+
+
+def fuse_window(accepted, state: ReferenceHrState) -> np.ndarray:
+    """``fuse_rows`` of one window's accepted candidates."""
     accepted = list(accepted)
     if not accepted:
         raise NoAcceptedComponents("fuse_window needs at least one component")
-    freqs = np.array([c.dominant_freq for c in accepted])
-    exponents = -0.5 * ((freqs - state.f_r) / state.sigma_fr) ** 2
-    w = np.exp(exponents - exponents.max())
-    stack = np.vstack([c.series for c in accepted])
-    if stack.shape[0] != len(w) or len({len(c.series) for c in accepted}) != 1:
+    if len({np.shape(c.series) for c in accepted}) != 1 or np.ndim(accepted[0].series) != 1:
         raise ValueError("all component series must have the same length")
-    return (w[:, None] * stack).sum(axis=0) / w.sum()
+    return fuse_rows(np.array([[c.series for c in accepted]], dtype=float),
+                     np.array([[c.dominant_freq for c in accepted]]), True,
+                     [state.f_r], [state.sigma_fr])[0]
 
 
 def periodic_hann(n: int) -> np.ndarray:
     """The periodic (``sym=False``) Hann window ``0.5 - 0.5 cos(2 pi k / n)``."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def overlap_add_rows(out, rows, hop: int) -> None:
+    """Add the Hann-tapered ``(n, 2 hop)`` rows to ``out``, a contiguous
+    run of ``(n + 1) * hop`` samples, row j at ``j * hop``, by two strided
+    adds: every sample sums the same two terms as a window-by-window loop."""
+    tapered = rows * periodic_hann(2 * hop)
+    blocks = out.reshape(-1, hop)
+    blocks[:-1] += tapered[:, :hop]
+    blocks[1:] += tapered[:, hop:]
 
 
 def overlap_add(windows, window_len: int, hop: int | None = None) -> np.ndarray:
@@ -76,14 +92,12 @@ def overlap_add(windows, window_len: int, hop: int | None = None) -> np.ndarray:
     for a, b in zip(starts, starts[1:]):
         if b - a != hop:
             raise WindowSpacingError(f"window starts {a} and {b} are not {hop} apart")
-    taper = periodic_hann(window_len)
-    out = np.zeros(starts[-1] + window_len)
     for start, vec in windows:
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != window_len:
+        if np.size(vec) != window_len:
             raise WindowSpacingError(
-                f"window at {start} has length {vec.size}, expected {window_len}")
-        out[start:start + window_len] += taper * vec
+                f"window at {start} has length {np.size(vec)}, expected {window_len}")
+    out = np.zeros(starts[-1] + window_len)
+    overlap_add_rows(out[starts[0]:], np.array([v for _, v in windows], dtype=float), hop)
     return out
 
 
@@ -152,17 +166,17 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     """Extract the pulse wave from a raw trace.
 
     The green channel is cut into 10 s windows every ``step_s``, an
-    ``(n_windows, T)`` stack that is processed as array stages in blocks
-    of rows: one ``detrend``, one ``bandpass`` and one
-    ``dominant_frequencies`` call per block give every window's
-    preprocessed samples and reference HR.  The reference-HR dispersion
-    then follows ``reference_sigmas`` over the reference HRs so far.
-    Windows starting on half-window boundaries are additionally
-    SSA-decomposed, mask-selected, fused with Gaussian weights centered
-    on the reference HR, and assembled by Hann overlap-add at 50% hop;
-    only those windows are kept past their block.  Analysis runs at the
-    fine step purely for reference-HR tracking; emitting every window
-    would break the constant-overlap-add normalization.
+    ``(n_windows, T)`` stack that runs through array stages in blocks of
+    ``_BLOCK_ROWS`` rows: ``detrend``, ``bandpass`` and
+    ``dominant_frequencies`` give every window's samples and reference
+    HR, and ``reference_sigmas`` its dispersion.  The windows starting on
+    half-window boundaries are then emitted, in blocks too: a per-window
+    SVD, and for the whole block one component convolution
+    (``decompose_rows``), one candidate search and mask (``select_rows``),
+    one Gaussian fusion (``fuse_rows``) and one Hann overlap-add at 50%
+    hop.  Analysis runs at the fine step purely for reference-HR
+    tracking; emitting every window would break the constant-overlap-add
+    normalization.
     """
     fs = trace.fs
     win = int(round(config.window_s * fs))
@@ -190,24 +204,21 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
         f_r[b:b + len(segs)] = dominant_frequencies(segs, fs, config.band)
         # keep a compact copy of the emitted rows, not views of the block
         emitted_segs.extend(segs[(-b) % every::every].copy())
-    sigma_fr = reference_sigmas(f_r, config.sigma_init).tolist()
+    sigma_fr = reference_sigmas(f_r, config.sigma_init)
 
-    emitted = []
-    records = []
-    for i, (f, sigma) in enumerate(zip(f_r.tolist(), sigma_fr)):
-        start = i * step
-        emit = i % every == 0
-        n_accepted = 0
-        fallback = False
-        if emit:
-            state = ReferenceHrState(f_r=f, sigma_fr=sigma)
-            dec = decompose(emitted_segs[i // every], L, max_components=config.sec_chn)
-            sel = select_candidates(dec, fs, state, config.sec_chn, config.band)
-            emitted.append((start, fuse_window(sel.accepted, state)))
-            n_accepted = len(sel.accepted)
-            fallback = sel.fallback_used
-        records.append(WindowRecord(
-            t_start=start / fs, f_r=f, sigma_fr=sigma,
-            n_accepted=n_accepted, fallback=fallback, emitted=emit))
-    samples = overlap_add(emitted, win, hop)
-    return PulseWave(samples=samples, fs=fs, window_flags=tuple(records))
+    n_accepted = np.zeros(len(windows), dtype=int)  # 0 and False where not emitted
+    fallback = np.zeros(len(windows), dtype=bool)
+    samples = np.zeros((len(emitted_segs) + 1) * hop)
+    for c in range(0, len(emitted_segs), _BLOCK_ROWS):
+        part = slice(c, c + _BLOCK_ROWS)
+        ref = f_r[::every][part], sigma_fr[::every][part]
+        comps, sv = decompose_rows(np.array(emitted_segs[part]), L, config.sec_chn)
+        freqs, accepted, fallback[::every][part] = select_rows(comps, sv, fs, *ref, config.band)
+        n_accepted[::every][part] = accepted.sum(axis=1)
+        fused = fuse_rows(comps, freqs, accepted, *ref)
+        overlap_add_rows(samples[c * hop:(c + len(fused) + 1) * hop], fused, hop)
+    records = tuple(WindowRecord(t_start=i * step / fs, f_r=f, sigma_fr=sigma, n_accepted=n,
+                                 fallback=fb, emitted=i % every == 0)
+                    for i, (f, sigma, n, fb) in enumerate(zip(
+                        f_r.tolist(), sigma_fr.tolist(), n_accepted.tolist(), fallback.tolist())))
+    return PulseWave(samples=samples, fs=fs, window_flags=records)

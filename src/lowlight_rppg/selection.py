@@ -50,6 +50,10 @@ class MaskReason(enum.Enum):
     WINDOW_REJECT = "window-reject"
 
 
+# MaskReason members by mask code; codes below 2 accept.
+_REASONS = tuple(MaskReason)
+
+
 @dataclass(frozen=True)
 class MaskDecision:
     accepted: bool
@@ -99,6 +103,16 @@ def reference_sigmas(f_r, sigma_init: float) -> np.ndarray:
     return np.array(sigma, dtype=float)
 
 
+def _mask_codes(freqs, f_r, sigma_fr, band) -> np.ndarray:
+    """``spectral_mask`` of ``(n, k)`` candidate frequencies against the
+    ``(n,)`` reference HRs and dispersions, as ``_REASONS`` indices."""
+    f_r = np.asarray(f_r, dtype=float)[:, None]
+    tol = 3.0 * np.asarray(sigma_fr, dtype=float)[:, None]
+    in_band = (band[0] <= freqs) & (freqs <= band[1])
+    return np.select([~in_band, np.abs(freqs - f_r) <= tol,
+                      np.abs(freqs / 2.0 - f_r) <= tol], [2, 0, 1], 3)
+
+
 def spectral_mask(candidates, state: ReferenceHrState,
                   band: tuple[float, float] = PULSE_BAND) -> list[MaskDecision]:
     """Accept candidates near the reference HR or its first harmonic.
@@ -108,19 +122,29 @@ def spectral_mask(candidates, state: ReferenceHrState,
     (fundamental) or |f_i/2 - f_r| <= 3*sigma (first harmonic, twice the
     reference).
     """
-    f_r, tol = state.f_r, 3.0 * state.sigma_fr
-    decisions = []
-    for cand in candidates:
-        f_i = cand.dominant_freq
-        if not (band[0] <= f_i <= band[1]):
-            decisions.append(MaskDecision(False, MaskReason.BAND_REJECT))
-        elif abs(f_i - f_r) <= tol:
-            decisions.append(MaskDecision(True, MaskReason.FUNDAMENTAL_MATCH))
-        elif abs(f_i / 2.0 - f_r) <= tol:
-            decisions.append(MaskDecision(True, MaskReason.HARMONIC_MATCH))
-        else:
-            decisions.append(MaskDecision(False, MaskReason.WINDOW_REJECT))
-    return decisions
+    freqs = np.array([[c.dominant_freq for c in candidates]], dtype=float)
+    codes = _mask_codes(freqs, [state.f_r], [state.sigma_fr], band)[0]
+    return [MaskDecision(bool(c < 2), _REASONS[c]) for c in codes]
+
+
+def select_rows(components, singular_values, fs: float, f_r, sigma_fr,
+                band: tuple[float, float]):
+    """``select_candidates`` of the ``decompose_rows`` arrays of n windows
+    against their ``(n,)`` references, with one ``dominant_frequencies``
+    call for every kept component.  Returns the ``(n, k)`` candidate
+    frequencies (inf in empty slots) and accepted components, fallbacks
+    included, and the ``(n,)`` fallback flags.
+    """
+    kept = singular_values > 0
+    if kept.shape[1] == 0 or not np.all(kept[:, 0]):
+        raise NoComponents("decomposition has no components above the cutoff")
+    freqs = np.full(kept.shape, np.inf)
+    freqs[kept] = dominant_frequencies(components[kept], fs, band=(0.05, fs / 2.0))
+    accepted = _mask_codes(freqs, f_r, sigma_fr, band) < 2
+    fallback = ~np.any(accepted, axis=1)
+    nearest = np.argmin(np.abs(freqs - np.asarray(f_r)[:, None]), axis=1)
+    accepted[fallback, nearest[fallback]] = True
+    return freqs, accepted, fallback
 
 
 @dataclass(frozen=True)
@@ -145,20 +169,14 @@ def select_candidates(decomposition: SsaDecomposition, fs: float,
     everything, the single component closest to the reference HR is kept
     (flagged) so downstream fusion never receives an empty window.
     """
-    if len(decomposition) == 0:
-        raise NoComponents("decomposition has no components above the cutoff")
     components = decomposition.components[:sec_chn]
-    freqs = dominant_frequencies(components, fs, band=(0.05, fs / 2.0))
+    freqs, accepted, fallback = select_rows(
+        components[None], decomposition.singular_values[None, :sec_chn], fs,
+        [state.f_r], [state.sigma_fr], band)
     candidates = [CandidateComponent(series=series, dominant_freq=float(f),
                                      singular_value=float(sv))
-                  for series, f, sv in zip(components, freqs,
+                  for series, f, sv in zip(components, freqs[0],
                                            decomposition.singular_values)]
-    decisions = spectral_mask(candidates, state, band)
-    accepted = [c for c, d in zip(candidates, decisions) if d.accepted]
-    fallback = False
-    if not accepted:
-        fallback = True
-        nearest = min(candidates, key=lambda c: abs(c.dominant_freq - state.f_r))
-        accepted = [nearest]
-    return SelectionResult(accepted=accepted, decisions=decisions,
-                           candidates=candidates, fallback_used=fallback)
+    return SelectionResult(accepted=[c for c, a in zip(candidates, accepted[0]) if a],
+                           decisions=spectral_mask(candidates, state, band),
+                           candidates=candidates, fallback_used=bool(fallback[0]))

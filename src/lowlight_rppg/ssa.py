@@ -8,6 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DecompositionFailure, InvalidWindowLength, NonFiniteInput
+from .preprocess import pow2_scaled
 
 # Directions with singular values below this fraction of the largest are
 # numerically zero and discarded.
@@ -84,11 +85,15 @@ def svd_components(X, k: int | None = None) -> list[tuple[float, np.ndarray, np.
     Hankel matrices of ``decompose`` never are) go to ``np.linalg.svd``.
 
     Triples with sigma below ``SV_CUTOFF`` times the largest singular
-    value are dropped, so fewer than ``k`` may be returned.
+    value are dropped, so fewer than ``k`` may be returned.  Both routes
+    factor X divided by a power of two near its max ``|X|``
+    (``pow2_scaled``) and scale sigma back, so X X' neither overflows nor
+    underflows; for normal-range X the triples are unchanged.
     """
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("svd_components input contains NaN or inf")
+    X, exponent = pow2_scaled(X, axis=None)
     try:
         if k is not None and X.ndim == 2 and 2 * k <= X.shape[0] <= X.shape[1]:
             u, s, vt = _top_svd(X, k)
@@ -96,6 +101,7 @@ def svd_components(X, k: int | None = None) -> list[tuple[float, np.ndarray, np.
             u, s, vt = np.linalg.svd(X, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
+    s = np.ldexp(s, exponent.item())
     if s.size == 0 or s[0] == 0.0:
         return []
     keep = np.flatnonzero(s > SV_CUTOFF * s[0])[:k]
@@ -117,28 +123,38 @@ def diagonal_average(Xi) -> np.ndarray:
     return out / counts
 
 
-def decompose(series, L: int, max_components: int) -> SsaDecomposition:
-    """Top ``max_components`` elementary reconstructed components.
+def decompose_rows(rows, L: int, k: int):
+    """``decompose`` of each row of an ``(n, T)`` array, as components and
+    singular values of shapes ``(n, min(k, L), T)`` and ``(n, min(k, L))``
+    that are zero past a row's kept triples.  The SVD runs row by row; the
+    components, convolutions of sigma_p u_p with v_p over the anti-diagonal
+    counts, come from one ``rfft``/``irfft`` pair of 2^ceil(log2 T) points.
+    """
+    n, T = rows.shape
+    K = T - L + 1
+    slots = min(k, L)
+    su, v, sv = np.zeros((n, slots, L)), np.zeros((n, slots, K)), np.zeros((n, slots))
+    for i, row in enumerate(rows):
+        triples = svd_components(hankel_embed(row, L), k)[:k]
+        if triples:
+            s, u_i, v_i = map(np.array, zip(*triples))
+            sv[i, :len(s)], su[i, :len(s)], v[i, :len(s)] = s, s[:, None] * u_i, v_i
+    nfft = 1 << (T - 1).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(su, nfft) * np.fft.rfft(v, nfft), nfft)[..., :T]
+    return conv / np.convolve(np.ones(L), np.ones(K)), sv
 
-    Only the leading ``max_components`` singular triples of the Hankel
-    matrix are computed (see ``svd_components``).  Each component is the
-    diagonal average of a rank-1 term sigma_p * u_p v_p'; for rank-1
-    matrices the anti-diagonal sums are a convolution, so each component
-    costs O(T log T).
+
+def decompose(series, L: int, max_components: int) -> SsaDecomposition:
+    """Top ``max_components`` elementary reconstructed components: the
+    diagonal averages of the leading rank-1 terms sigma_p u_p v_p' of the
+    Hankel matrix (see ``svd_components``), as ``decompose_rows`` of the
+    one series.
     """
     x = np.asarray(series, dtype=float)
     validate_window_length(L, x.size)
     if max_components < 1:
         raise ValueError("max_components must be >= 1")
-    triples = svd_components(hankel_embed(x, L), max_components)
-    K = x.size - L + 1
-    counts = np.convolve(np.ones(L), np.ones(K))
-    comps = np.array([np.convolve(s * u, v) / counts for s, u, v in triples])
-    if comps.size == 0:
-        comps = np.empty((0, x.size))
-    return SsaDecomposition(
-        components=comps,
-        singular_values=np.array([s for s, _, _ in triples]),
-        window_length=L,
-        source_length=x.size,
-    )
+    comps, sv = decompose_rows(x[None], L, max_components)
+    kept = sv[0] > 0
+    return SsaDecomposition(components=comps[0, kept], singular_values=sv[0, kept],
+                            window_length=L, source_length=x.size)

@@ -53,7 +53,10 @@ def test_chirp_matches_dense_dft_oracle():
 def test_amplitude_invariance():
     rng = np.random.default_rng(0)
     x = rng.normal(size=900) + np.sin(2 * np.pi * 1.3 * np.arange(900) / FS)
-    assert estimate_hr_series(x, FS).bpm == estimate_hr_series(7.5 * x, FS).bpm
+    # the squares of x overflow at 1e155 and underflow at 1e-200
+    for scale in (7.5, 1e155, 1e-200):
+        assert estimate_hr_series(x, FS).bpm == estimate_hr_series(scale * x, FS).bpm
+        assert sliding_hr(x, FS) == sliding_hr(scale * x, FS)
 
 
 def test_output_within_band():
@@ -102,10 +105,16 @@ def test_spectral_peak_rows_match_single_series():
     t = np.arange(300) / FS
     f0 = rng.uniform(0.8, 3.5, size=40)
     x = np.sin(2 * np.pi * f0[:, None] * t) + 0.3 * rng.normal(size=(40, 300))
-    peaks = spectral_peak(x, FS, (0.7, 4.0), 8192)
-    assert peaks.shape == (40,)
-    assert [float(spectral_peak(row, FS, (0.7, 4.0), 8192)) for row in x] == peaks.tolist()
-    assert np.all(np.abs(peaks - f0) <= 0.05)
+    # the pulse band takes the cosine route; the full band, as candidate
+    # scoring searches it, takes the FFT route in blocks of 16 rows
+    for band, fft_route in [((0.7, 4.0), False), ((0.05, FS / 2), True)]:
+        freqs = np.fft.rfftfreq(8192, d=1.0 / FS)
+        m = np.count_nonzero((freqs >= band[0]) & (freqs <= band[1]))
+        assert (300 * m > hr._MAX_TABLE_ENTRIES) == fft_route
+        peaks = spectral_peak(x, FS, band, 8192)
+        assert peaks.shape == (40,)
+        assert [float(spectral_peak(row, FS, band, 8192)) for row in x] == peaks.tolist()
+        assert np.all(np.abs(peaks - f0) <= 0.05)
 
 
 def per_window_sliding_hr(x, fs, win_s=10.0, step_s=1.0):

@@ -35,7 +35,9 @@ class TestSnr:
     def test_amplitude_invariant(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=1800) + np.sin(2 * np.pi * 1.2 * np.arange(1800) / FS)
-        assert abs(snr(x, FS, 72.0) - snr(123.0 * x, FS, 72.0)) < 1e-9
+        # the power of x overflows at 1e155 and underflows at 1e-200
+        for scale in (123.0, 1e155, 1e-200):
+            assert abs(snr(x, FS, 72.0) - snr(scale * x, FS, 72.0)) < 1e-9
 
     def test_out_of_band_noise_ignored(self):
         t = np.arange(1800) / FS

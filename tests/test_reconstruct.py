@@ -139,9 +139,10 @@ class TestOverlapAdd:
 def per_window_pipeline(trace, config):
     """The pipeline one window at a time: per-window preprocessing, a
     per-window ``dominant_frequency`` and the last entry of
-    ``reference_sigmas`` over the reference HRs so far, as the reference
-    for the batched stages of run_pipeline.  Returns the pulse and
-    per-window (f_r, sigma)."""
+    ``reference_sigmas`` over the reference HRs so far, and one
+    ``decompose``/``select_candidates``/``fuse_window`` chain per emitted
+    window, as the reference for the array stages of run_pipeline.
+    Returns the pulse and per-window (f_r, sigma, n_accepted, fallback)."""
     fs = trace.fs
     win = int(round(config.window_s * fs))
     step = int(round(config.step_s * fs))
@@ -156,29 +157,40 @@ def per_window_pipeline(trace, config):
         state = ReferenceHrState(
             f_r=history[-1],
             sigma_fr=float(reference_sigmas(history, config.sigma_init)[-1]))
-        refs.append((state.f_r, state.sigma_fr))
+        n_accepted, fallback = 0, False
         if start % hop == 0:
             dec = decompose(seg, L, max_components=config.sec_chn)
             sel = select_candidates(dec, fs, state, config.sec_chn, config.band)
             emitted.append((start, fuse_window(sel.accepted, state)))
+            n_accepted, fallback = len(sel.accepted), sel.fallback_used
+        refs.append((state.f_r, state.sigma_fr, n_accepted, fallback))
     return overlap_add(emitted, win, hop), refs
 
 
 class TestRunPipeline:
-    @pytest.mark.parametrize("fs, duration_s, config", [
-        (30.0, 30.0, PipelineConfig()),
-        (60.0, 30.0, PipelineConfig(band=(0.8, 3.5), sigma_init=0.1, sec_chn=6)),
+    @pytest.mark.parametrize("fs, duration_s, config, noise", [
+        pytest.param(30.0, 30.0, PipelineConfig(), 0.8, id="30.0-30.0-config0"),
+        pytest.param(60.0, 30.0, PipelineConfig(band=(0.8, 3.5), sigma_init=0.1, sec_chn=6),
+                     0.8, id="60.0-30.0-config1"),
         # 71 windows: more than one row block, and a block boundary that
         # falls between two emitted windows
-        (30.0, 80.0, PipelineConfig()),
+        pytest.param(30.0, 80.0, PipelineConfig(), 0.8, id="30.0-80.0-config2"),
+        # without noise the windows keep 20 of 30 triples, so the
+        # component stacks have empty slots
+        pytest.param(30.0, 30.0, PipelineConfig(sec_chn=30), 0.0, id="noiseless-empty-slots"),
+        # sec_chn above L/2 = 50 takes the full-SVD route
+        pytest.param(30.0, 30.0, PipelineConfig(sec_chn=60), 0.8, id="full-svd"),
+        # 66 emitted windows: more than one row block of emitted windows
+        pytest.param(30.0, 335.0, PipelineConfig(), 0.8, id="two-emitted-blocks"),
     ])
-    def test_matches_per_window_loop(self, fs, duration_s, config):
+    def test_matches_per_window_loop(self, fs, duration_s, config, noise):
         trace = generate(SynthConfig(hr_bpm=84.0, fs=fs, duration_s=duration_s,
-                                     drift_amp=2.0, noise_rms=(0.8, 0.8, 0.8),
+                                     drift_amp=2.0, noise_rms=(noise, noise, noise),
                                      seed=13))
         pulse = run_pipeline(trace, config)
         samples, refs = per_window_pipeline(trace, config)
-        assert [(r.f_r, r.sigma_fr) for r in pulse.window_flags] == refs
+        assert [(r.f_r, r.sigma_fr, r.n_accepted, r.fallback)
+                for r in pulse.window_flags] == refs
         assert pulse.samples.shape == samples.shape
         assert (np.max(np.abs(pulse.samples - samples))
                 <= 1e-9 * np.max(np.abs(samples)))
@@ -197,6 +209,17 @@ class TestRunPipeline:
             [fields(r) for r in full.window_flags]
         assert (np.max(np.abs(pulse.samples - full.samples))
                 <= 1e-9 * np.max(np.abs(full.samples)))
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_power_of_two_scale_is_exact(self, exponent):
+        # the squares of a trace at 2^600 overflow, and at 2^-600 underflow
+        trace = generate(SynthConfig(hr_bpm=72.0, duration_s=60.0,
+                                     noise_rms=(0.5, 0.5, 0.5), seed=2))
+        pulse = run_pipeline(trace)
+        scaled = run_pipeline(type(trace)(samples=np.ldexp(trace.samples, exponent),
+                                          fs=trace.fs))
+        assert scaled.window_flags == pulse.window_flags
+        assert np.array_equal(scaled.samples, np.ldexp(pulse.samples, exponent))
 
     def test_sigma_init_seeds_the_first_window(self):
         trace = generate(SynthConfig(hr_bpm=72.0, duration_s=30.0,

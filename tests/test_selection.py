@@ -219,6 +219,23 @@ class TestSelectCandidates:
         assert len(sel.accepted) == 1
         assert abs(sel.accepted[0].dominant_freq - 3.9) < 0.05
 
+    @pytest.mark.parametrize("tones", [(1.0, 1.5), (1.5, 1.0)])
+    def test_fallback_tie_keeps_the_first_candidate(self, tones):
+        # at 32 Hz the 8192-point bins are multiples of 2^-8 Hz, so the
+        # distances to the midpoint of two candidates are exactly equal
+        fs = 32.0
+        t = np.arange(300) / fs
+        comps = np.array([np.sin(2 * np.pi * f * t) for f in tones])
+        dec = SsaDecomposition(components=comps, singular_values=np.array([2.0, 1.0]),
+                               window_length=100, source_length=300)
+        first, second = (dominant_frequency(c, fs, band=(0.05, fs / 2)) for c in comps)
+        f_r = (first + second) / 2
+        assert abs(first - f_r) == abs(second - f_r) > 3 * 0.01
+        sel = select_candidates(dec, fs, state(f_r, 0.01))
+        assert sel.fallback_used
+        assert [c.dominant_freq for c in sel.accepted] == [first]
+        assert sel.accepted[0].series is sel.candidates[0].series
+
     def test_empty_decomposition(self):
         dec = SsaDecomposition(components=np.empty((0, 100)),
                                singular_values=np.empty(0),
