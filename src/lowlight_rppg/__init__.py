@@ -3,10 +3,13 @@
 SSA decomposition of a detrended green-channel trace, reference-HR
 spectral masking, Gaussian-weighted component fusion, Hann overlap-add
 reconstruction, and FFT heart-rate estimation, plus a synthetic trace
-generator and an SNR/MAE/RMSE evaluation harness.
+generator and an SNR/MAE/RMSE evaluation harness.  The evaluation
+modules (``baseline``, ``metrics``, ``synth``, ``sweep``) and their names
+here load on first use (PEP 562), so the pipeline does not pay for them.
 """
 
-from .baseline import green_baseline_hr, green_baseline_signal
+import importlib
+
 from .hr import HrEstimate, estimate_hr, estimate_hr_series, sliding_hr, spectral_peak
 from .ingest import (
     RawTrace,
@@ -17,7 +20,6 @@ from .ingest import (
     save_trace_csv,
     spatial_average,
 )
-from .metrics import EvalReport, evaluate, mae, rmse, snr, spectrogram, spectrum
 from .preprocess import bandpass, detrend
 from .reconstruct import (
     PipelineConfig,
@@ -43,9 +45,25 @@ from .ssa import (
     hankel_embed,
     svd_components,
 )
-from .synth import SynthConfig, attenuate, generate, illumination_sweep
 
 __version__ = "0.1.0"
+
+_EVALUATION = {  # module -> the names it exports here
+    "baseline": ("green_baseline_signal", "green_baseline_hr"),
+    "metrics": ("EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate"),
+    "synth": ("SynthConfig", "attenuate", "generate", "illumination_sweep"),
+    "sweep": (),
+}
+
+
+def __getattr__(name):
+    """Import an evaluation module, or the one defining ``name``, on first use."""
+    for module, names in _EVALUATION.items():
+        if name == module or name in names:
+            loaded = importlib.import_module(f"{__name__}.{module}")
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "RawTrace", "RoiFrame", "spatial_average", "assemble_trace",

@@ -3,6 +3,8 @@
 Exit codes: 0 success, 2 input/config error, 3 processing error.  All
 report floats are formatted at 6 significant digits so repeated runs with
 the same seed produce byte-identical outputs.
+Importing this module loads the pipeline only; each command imports the
+evaluation modules it uses when it runs, so ``extract`` loads none of them.
 """
 
 from __future__ import annotations
@@ -15,23 +17,23 @@ import sys
 
 import numpy as np
 
-from . import baseline, metrics, synth
 from .errors import ConfigError, InvalidHeader, PairingError, ParseError, RppgError
 from .hr import estimate_hr, sliding_hr
 from .ingest import (check_width, header_fs, load_trace_csv, read_csv, save_trace_csv,
                      trace_from_rows)
 from .reconstruct import PipelineConfig, PulseWave, run_pipeline
-from .sweep import sweep_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PROCESSING = 3
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+def __getattr__(name):
+    """``sweep_report``, imported from ``sweep`` on first use."""
+    if name == "sweep_report":
+        from .sweep import sweep_report
+        return sweep_report
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _round6(obj):
@@ -45,16 +47,16 @@ def _round6(obj):
     return obj
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """``header``, then one line of ``_fmt`` fields per row."""
+def _write_csv(path, header: str, fmt: str, rows) -> None:
+    """``header``, then a ``fmt % row`` line per row (``%d`` ints, ``%.6g`` floats)."""
+    line = fmt + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows))
+        fh.write(header + "\n" + "".join(line % row for row in rows))
 
 
 def _write_json(path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(_round6(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_round6(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -82,7 +84,7 @@ def _add_pipeline_flags(parser) -> None:
 
 
 def save_pulse_csv(pulse: PulseWave, path) -> None:
-    _write_csv(path, f"# fs={_fmt(float(pulse.fs))}", enumerate(pulse.samples.tolist()))
+    _write_csv(path, "# fs=%.6g" % pulse.fs, "%d,%.6g", enumerate(pulse.samples.tolist()))
 
 
 def pulse_from_rows(headers, rows: np.ndarray) -> PulseWave:
@@ -112,17 +114,18 @@ def cmd_extract(args) -> int:
     config = _pipeline_config(args)
     trace = load_trace_csv(args.trace)
     pulse = run_pipeline(trace, config)
+    est = estimate_hr(pulse, band=config.band, min_duration_s=config.window_s)
     save_pulse_csv(pulse, args.out)
     base, _ = os.path.splitext(args.out)
     _write_json(base + ".windows.json",
                 [rec.to_dict() for rec in pulse.window_flags])
-    est = estimate_hr(pulse, band=config.band)
     _write_json(base + ".hr.json",
                 {"bpm": est.bpm, "peak_freq_hz": est.peak_freq})
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics
     config = _pipeline_config(args)
     headers, rows = read_csv(args.input)
     if not len(rows):
@@ -142,6 +145,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
     config = synth.SynthConfig.from_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -150,6 +154,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import sweep, synth
     config = synth.SynthConfig.from_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -159,33 +164,36 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --levels value {args.levels!r}")
     if not levels:
         raise ConfigError("--levels must name at least one attenuation factor")
-    rows = sweep_report(config, levels, _pipeline_config(args),
-                        n_seeds=args.seeds, jobs=args.jobs)
+    rows = sweep.sweep_report(config, levels, _pipeline_config(args),
+                              n_seeds=args.seeds, jobs=args.jobs)
     if args.format == "json":
         _write_json(args.report, rows)
     else:
         _write_csv(args.report, "level,method,snr_db,mae_bpm,rmse_bpm",
+                   "%.6g,%s,%.6g,%.6g,%.6g",
                    ((float(r["level"]), r["method"], r["snr_db"], r["mae_bpm"],
                      r["rmse_bpm"]) for r in rows))
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
+    from . import baseline, metrics
     config = _pipeline_config(args)
     trace = load_trace_csv(args.trace)
     os.makedirs(args.outdir, exist_ok=True)
     green = trace.green()
 
     freqs, power = metrics.spectrum(green, trace.fs)
-    _write_csv(os.path.join(args.outdir, "spectrum.csv"), "freq_hz,power",
+    _write_csv(os.path.join(args.outdir, "spectrum.csv"), "freq_hz,power", "%.6g,%.6g",
                zip(freqs.tolist(), power.tolist()))
 
     times, sfreqs, sxx = metrics.spectrogram(green, trace.fs,
                                              win_s=args.window_s,
                                              hop_s=args.step_s)
     _write_csv(os.path.join(args.outdir, "spectrogram.csv"),
-               ",".join(["t_seconds", *map(_fmt, sfreqs.tolist())]),
-               ([t, *row] for t, row in zip(times.tolist(), sxx.tolist())))
+               "t_seconds" + "".join(",%.6g" % f for f in sfreqs.tolist()),
+               ",".join(["%.6g"] * (1 + len(sfreqs))),
+               ((t, *row) for t, row in zip(times.tolist(), sxx.tolist())))
 
     sig = baseline.green_baseline_signal(trace, lam=config.lam, band=config.band)
     est = baseline.green_baseline_hr(trace, lam=config.lam, band=config.band)

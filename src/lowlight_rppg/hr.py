@@ -146,9 +146,10 @@ def estimate_hr_series(samples, fs: float, min_duration_s: float = 10.0,
     return HrEstimate(bpm=60.0 * peak, peak_freq=peak)
 
 
-def estimate_hr(pulse, band: tuple[float, float] = PULSE_BAND) -> HrEstimate:
+def estimate_hr(pulse, band: tuple[float, float] = PULSE_BAND,
+                min_duration_s: float = 10.0) -> HrEstimate:
     """HR estimate from a PulseWave (or any object with samples and fs)."""
-    return estimate_hr_series(pulse.samples, pulse.fs, band=band)
+    return estimate_hr_series(pulse.samples, pulse.fs, min_duration_s, band)
 
 
 def sliding_hr(samples, fs: float, win_s: float = 10.0, step_s: float = 1.0,

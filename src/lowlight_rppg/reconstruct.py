@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -113,7 +113,7 @@ class WindowRecord:
     emitted: bool
 
     def to_dict(self):
-        return asdict(self)
+        return dict(vars(self))  # asdict's result for scalar fields, without its deep copy
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Illumination sweep: both methods over attenuated synthetic traces.
 
 Stages are called through module globals, so a caller can wrap them here.
+The package and ``cli`` import this module, with its thread pool,
+``statistics`` and evaluation modules, only when a sweep first runs.
 """
 
 from __future__ import annotations

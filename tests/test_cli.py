@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,11 @@ import pytest
 
 import lowlight_rppg
 
-from lowlight_rppg import PipelineConfig, RawTrace, SynthConfig, generate, save_trace_csv
-from lowlight_rppg.cli import _pipeline_config, build_parser, load_pulse_csv, main
-from lowlight_rppg.errors import ParseError
+from lowlight_rppg import (PipelineConfig, PulseWave, RawTrace, SynthConfig, generate,
+                           load_trace_csv, run_pipeline, save_trace_csv)
+from lowlight_rppg.cli import (_pipeline_config, _write_json, build_parser, load_pulse_csv,
+                               main, save_pulse_csv)
+from lowlight_rppg.errors import ParseError, RppgError
 
 
 @pytest.fixture
@@ -103,6 +107,107 @@ class TestExtract:
         lines = ["# fs=30"] + [f"{i},1,{1 + 0.1 * (i % 7)},1" for i in range(60)]
         path.write_text("\n".join(lines) + "\n")
         assert main(["extract", str(path), str(tmp_path / "out.csv")]) == 3
+
+    @pytest.mark.filterwarnings("ignore:series of")
+    def test_hr_minimum_follows_window(self, tmp_path):
+        # an 8 s trace with --window-s 4 used to write the pulse and the
+        # windows, then exit 3 on the HR step's fixed 10 s minimum
+        trace = generate(SynthConfig(hr_bpm=75.0, duration_s=10.0, noise_rms=(0.0,) * 3))
+        path = tmp_path / "short.csv"
+        save_trace_csv(RawTrace(samples=trace.samples[:240], fs=30.0), path)
+        assert main(["extract", str(path), str(tmp_path / "p.csv"), "--window-s", "4"]) == 0
+        assert sorted(f.name for f in tmp_path.glob("p*")) == [
+            "p.csv", "p.hr.json", "p.windows.json"]
+        assert abs(json.loads((tmp_path / "p.hr.json").read_text())["bpm"] - 75.0) <= 1.0
+
+    def test_processing_error_writes_no_file(self, tmp_path, clean_trace, monkeypatch):
+        from lowlight_rppg import cli
+
+        def fail(*args, **kwargs):
+            raise RppgError("no HR")
+        monkeypatch.setattr(cli, "estimate_hr", fail)
+        assert main(["extract", str(clean_trace), str(tmp_path / "p.csv")]) == 3
+        assert list(tmp_path.glob("p*")) == []
+
+
+def _per_value_fmt(v) -> str:
+    # how every CSV field was formatted before the writers took row formats
+    if isinstance(v, float):
+        return f"{v:.6g}"
+    return str(v)
+
+
+def _per_value_csv(header, rows) -> str:
+    return header + "\n" + "".join(",".join(map(_per_value_fmt, row)) + "\n" for row in rows)
+
+
+def _streamed_json(obj) -> str:
+    # how JSON files were written before: json.dump chunks, then a newline
+    from lowlight_rppg.cli import _round6
+    buf = io.StringIO()
+    json.dump(_round6(obj), buf, indent=2, sort_keys=True)
+    return buf.getvalue() + "\n"
+
+
+SPECIAL_FLOATS = [1e-7, 123456789.0, float("inf"), float("-inf"), float("nan"), -0.0,
+                  0.0, 72.123456789, -3.5e-300, 1e300]
+
+
+class TestWritersMatchPerValueFormat:
+    def test_pulse_csv(self, tmp_path):
+        path = tmp_path / "p.csv"
+        save_pulse_csv(PulseWave(samples=np.array(SPECIAL_FLOATS), fs=29.97), path)
+        assert path.read_text() == _per_value_csv("# fs=29.97", enumerate(SPECIAL_FLOATS))
+
+    def test_pulse_index_stays_integer(self, tmp_path):
+        path = tmp_path / "p.csv"
+        samples = np.zeros(1234568)
+        samples[-1] = 0.25
+        save_pulse_csv(PulseWave(samples=samples, fs=30.0), path)
+        tail = _per_value_csv("", [(1234566, 0.0), (1234567, 0.25)])  # "\n1234566,0\n..."
+        assert path.read_text().endswith(tail)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_report(self, tmp_path, clean_config, monkeypatch, fmt):
+        from lowlight_rppg import sweep
+        rows = [{"level": 1.0, "method": "proposed", "snr_db": float("inf"),
+                 "mae_bpm": 1e-7, "rmse_bpm": 123456789.0},
+                {"level": 0.05, "method": "green-baseline", "snr_db": float("nan"),
+                 "mae_bpm": -0.0, "rmse_bpm": 60.0}]
+        monkeypatch.setattr(sweep, "sweep_report", lambda *args, **kwargs: rows)
+        report = tmp_path / f"report.{fmt}"
+        assert main(["sweep", str(clean_config), str(report), "--format", fmt]) == 0
+        expected = (_streamed_json(rows) if fmt == "json" else _per_value_csv(
+            "level,method,snr_db,mae_bpm,rmse_bpm",
+            ((r["level"], r["method"], r["snr_db"], r["mae_bpm"], r["rmse_bpm"])
+             for r in rows)))
+        assert report.read_text() == expected
+
+    def test_header_only_sweep_report(self, tmp_path, clean_config, monkeypatch):
+        from lowlight_rppg import sweep
+        monkeypatch.setattr(sweep, "sweep_report", lambda *args, **kwargs: [])
+        report = tmp_path / "report.csv"
+        assert main(["sweep", str(clean_config), str(report)]) == 0
+        assert report.read_text() == "level,method,snr_db,mae_bpm,rmse_bpm\n"
+
+    def test_analyze_csvs(self, tmp_path, clean_trace):
+        from lowlight_rppg import metrics
+        assert main(["analyze", str(clean_trace), str(tmp_path / "out")]) == 0
+        trace = load_trace_csv(clean_trace)
+        freqs, power = metrics.spectrum(trace.green(), trace.fs)
+        assert (tmp_path / "out" / "spectrum.csv").read_text() == _per_value_csv(
+            "freq_hz,power", zip(freqs.tolist(), power.tolist()))
+        times, sfreqs, sxx = metrics.spectrogram(trace.green(), trace.fs)
+        assert (tmp_path / "out" / "spectrogram.csv").read_text() == _per_value_csv(
+            ",".join(["t_seconds", *map(_per_value_fmt, sfreqs.tolist())]),
+            ([t, *row] for t, row in zip(times.tolist(), sxx.tolist())))
+
+    def test_window_records_and_json(self, tmp_path):
+        pulse = run_pipeline(generate(SynthConfig(hr_bpm=72.0, seed=4)))
+        records = [rec.to_dict() for rec in pulse.window_flags]
+        assert records == [dataclasses.asdict(rec) for rec in pulse.window_flags]
+        _write_json(tmp_path / "w.json", records)
+        assert (tmp_path / "w.json").read_text() == _streamed_json(records)
 
 
 class TestEvaluate:
@@ -395,3 +500,26 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[0, 0, 0, 0, 0] []"
+
+
+def test_import_and_extract_do_not_load_evaluation_modules(tmp_path, clean_trace):
+    # baseline, metrics, synth and sweep (with its thread pool and
+    # statistics) load on first use; every public name still resolves
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lowlight_rppg.__file__)))
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import lowlight_rppg, lowlight_rppg.cli
+code = lowlight_rppg.cli.main(["extract", {str(clean_trace)!r}, {str(tmp_path / "p.csv")!r}])
+lazy = ["lowlight_rppg.sweep", "lowlight_rppg.synth", "lowlight_rppg.metrics",
+        "lowlight_rppg.baseline", "concurrent.futures", "statistics"]
+print(code, [m for m in lazy if m in sys.modules])
+from lowlight_rppg import *
+from lowlight_rppg import SynthConfig, cli, green_baseline_signal, metrics, snr, sweep
+print([n for n in lowlight_rppg.__all__ if globals()[n] is not getattr(lowlight_rppg, n)],
+      cli.sweep_report is sweep.sweep_report, metrics.snr is snr is lowlight_rppg.snr,
+      lowlight_rppg.metrics is sys.modules["lowlight_rppg.metrics"])
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines() == ["0 []", "[] True True True"]
