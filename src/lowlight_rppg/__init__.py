@@ -24,27 +24,18 @@ from .preprocess import bandpass, detrend
 from .reconstruct import (
     PipelineConfig,
     PulseWave,
-    fuse_window,
-    overlap_add,
+    fuse_rows,
+    overlap_add_rows,
     run_pipeline,
 )
 from .selection import (
-    CandidateComponent,
-    MaskDecision,
     MaskReason,
-    ReferenceHrState,
     dominant_frequencies,
     dominant_frequency,
-    select_candidates,
+    select_rows,
     spectral_mask,
 )
-from .ssa import (
-    SsaDecomposition,
-    decompose,
-    diagonal_average,
-    hankel_embed,
-    svd_components,
-)
+from .ssa import decompose_rows, diagonal_average, hankel_embed, svd_components
 
 __version__ = "0.1.0"
 
@@ -69,12 +60,10 @@ __all__ = [
     "RawTrace", "RoiFrame", "spatial_average", "assemble_trace",
     "load_trace_csv", "save_trace_csv", "load_roi_frames",
     "detrend", "bandpass",
-    "SsaDecomposition", "hankel_embed", "svd_components",
-    "diagonal_average", "decompose",
-    "ReferenceHrState", "CandidateComponent", "MaskDecision", "MaskReason",
-    "dominant_frequency", "dominant_frequencies",
-    "spectral_mask", "select_candidates",
-    "PulseWave", "PipelineConfig", "fuse_window", "overlap_add", "run_pipeline",
+    "hankel_embed", "svd_components", "diagonal_average", "decompose_rows",
+    "MaskReason", "dominant_frequency", "dominant_frequencies",
+    "spectral_mask", "select_rows",
+    "PulseWave", "PipelineConfig", "fuse_rows", "overlap_add_rows", "run_pipeline",
     "HrEstimate", "estimate_hr", "estimate_hr_series", "sliding_hr",
     "spectral_peak",
     "EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate",

@@ -139,9 +139,9 @@ def estimate_hr_series(samples, fs: float, min_duration_s: float = 10.0,
     interpolation is applied.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < min_duration_s * fs:
-        raise SeriesTooShort(
-            f"need at least {min_duration_s} s of samples, got {x.size / fs:.2f} s")
+    need = int(round(min_duration_s * fs))  # samples, rounded as sliding_hr's window
+    if x.size < need:
+        raise SeriesTooShort(f"need at least {need} samples ({min_duration_s} s), got {x.size}")
     peak = float(spectral_peak(_zscore(x), fs, band, max(_MIN_NFFT, x.size)))
     return HrEstimate(bpm=60.0 * peak, peak_freq=peak)
 

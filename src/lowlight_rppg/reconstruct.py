@@ -18,7 +18,6 @@ from .preprocess import PULSE_BAND, DEFAULT_LAMBDA, bandpass, check_lambda, detr
 from .selection import (
     DEFAULT_SEC_CHN,
     SIGMA_INIT,
-    ReferenceHrState,
     dominant_frequencies,
     reference_sigmas,
     select_rows,
@@ -37,24 +36,18 @@ def fuse_rows(components, freqs, accepted, f_r, sigma_fr) -> np.ndarray:
     ``accepted`` marks, with weights w(f_p) =
     exp(-(f_p - f_r)^2 / 2 sigma_fr^2) taken in log space relative to the
     best-matching component, so far-off candidates underflow to zero
-    weight instead of producing 0/0.
+    weight instead of producing 0/0.  Every row must accept a component
+    (``NoAcceptedComponents``) and every ``sigma_fr`` must be positive
+    (``ValueError``), since either would make the row NaN.
     """
     f_r, sigma_fr = np.asarray(f_r)[:, None], np.asarray(sigma_fr)[:, None]
+    if not np.all(np.any(accepted, axis=1)):
+        raise NoAcceptedComponents("every window needs at least one accepted component")
+    if not np.all(sigma_fr > 0):
+        raise ValueError(f"sigma_fr must be positive, got {np.min(sigma_fr)}")
     exponents = np.where(accepted, -0.5 * ((freqs - f_r) / sigma_fr) ** 2, -np.inf)
     w = np.exp(exponents - exponents.max(axis=1, keepdims=True))
     return (w[..., None] * components).sum(axis=1) / w.sum(axis=1, keepdims=True)
-
-
-def fuse_window(accepted, state: ReferenceHrState) -> np.ndarray:
-    """``fuse_rows`` of one window's accepted candidates."""
-    accepted = list(accepted)
-    if not accepted:
-        raise NoAcceptedComponents("fuse_window needs at least one component")
-    if len({np.shape(c.series) for c in accepted}) != 1 or np.ndim(accepted[0].series) != 1:
-        raise ValueError("all component series must have the same length")
-    return fuse_rows(np.array([[c.series for c in accepted]], dtype=float),
-                     np.array([[c.dominant_freq for c in accepted]]), True,
-                     [state.f_r], [state.sigma_fr])[0]
 
 
 def periodic_hann(n: int) -> np.ndarray:
@@ -65,40 +58,17 @@ def periodic_hann(n: int) -> np.ndarray:
 def overlap_add_rows(out, rows, hop: int) -> None:
     """Add the Hann-tapered ``(n, 2 hop)`` rows to ``out``, a contiguous
     run of ``(n + 1) * hop`` samples, row j at ``j * hop``, by two strided
-    adds: every sample sums the same two terms as a window-by-window loop."""
+    adds: every sample sums the same two terms as a window-by-window loop.
+    The periodic Hann window at 50% hop satisfies constant overlap-add with
+    sum 1.0, so the interior of a constant stream reconstructs the constant.
+    """
+    if rows.shape[1:] != (2 * hop,) or out.shape != ((len(rows) + 1) * hop,):
+        raise WindowSpacingError(f"need (n, {2 * hop}) rows and (n + 1) * {hop} samples, "
+                                 f"got rows {rows.shape} and {out.shape[0]} samples")
     tapered = rows * periodic_hann(2 * hop)
     blocks = out.reshape(-1, hop)
     blocks[:-1] += tapered[:, :hop]
     blocks[1:] += tapered[:, hop:]
-
-
-def overlap_add(windows, window_len: int, hop: int | None = None) -> np.ndarray:
-    """Sum Hann-tapered windows at their start offsets.
-
-    ``windows`` is a time-ordered list of (start_index, vector) pairs
-    spaced exactly ``hop`` apart with hop = window_len / 2.  The periodic
-    Hann window at 50% hop satisfies constant overlap-add with sum 1.0,
-    so the interior of a constant stream reconstructs the constant.
-    The taper is ``periodic_hann(window_len)``.
-    """
-    if hop is None:
-        hop = window_len // 2
-    if 2 * hop != window_len:
-        raise WindowSpacingError(f"hop must be window_len/2, got {hop} vs {window_len}")
-    windows = list(windows)
-    if not windows:
-        raise WindowSpacingError("no windows to assemble")
-    starts = [s for s, _ in windows]
-    for a, b in zip(starts, starts[1:]):
-        if b - a != hop:
-            raise WindowSpacingError(f"window starts {a} and {b} are not {hop} apart")
-    for start, vec in windows:
-        if np.size(vec) != window_len:
-            raise WindowSpacingError(
-                f"window at {start} has length {np.size(vec)}, expected {window_len}")
-    out = np.zeros(starts[-1] + window_len)
-    overlap_add_rows(out[starts[0]:], np.array([v for _, v in windows], dtype=float), hop)
-    return out
 
 
 @dataclass(frozen=True)

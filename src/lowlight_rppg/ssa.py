@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -13,23 +11,6 @@ from .preprocess import pow2_scaled
 # Directions with singular values below this fraction of the largest are
 # numerically zero and discarded.
 SV_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class SsaDecomposition:
-    """Elementary reconstructed components of a 1-D series.
-
-    ``components`` has shape (n, T), one reconstructed series per row,
-    ordered by descending singular value.
-    """
-
-    components: np.ndarray
-    singular_values: np.ndarray
-    window_length: int
-    source_length: int
-
-    def __len__(self):
-        return len(self.singular_values)
 
 
 def validate_window_length(L: int, T: int) -> None:
@@ -82,7 +63,7 @@ def svd_components(X, k: int | None = None) -> list[tuple[float, np.ndarray, np.
     about 1e-8 * sigma_max at most.  The route saves work only when ``k``
     is small against L (it costs more than a full SVD above about
     0.6 L), so larger ``k``, ``k`` None and tall X (L > K, which the
-    Hankel matrices of ``decompose`` never are) go to ``np.linalg.svd``.
+    Hankel matrices of ``decompose_rows`` never are) go to ``np.linalg.svd``.
 
     Triples with sigma below ``SV_CUTOFF`` times the largest singular
     value are dropped, so fewer than ``k`` may be returned.  Both routes
@@ -124,12 +105,18 @@ def diagonal_average(Xi) -> np.ndarray:
 
 
 def decompose_rows(rows, L: int, k: int):
-    """``decompose`` of each row of an ``(n, T)`` array, as components and
-    singular values of shapes ``(n, min(k, L), T)`` and ``(n, min(k, L))``
-    that are zero past a row's kept triples.  The SVD runs row by row; the
+    """Top ``k`` elementary reconstructed components of each row of an
+    ``(n, T)`` array: the diagonal averages of the leading rank-1 terms
+    sigma_p u_p v_p' of the row's L x K Hankel matrix (see
+    ``svd_components``), descending sigma.
+
+    Returns components and singular values of shapes ``(n, min(k, L), T)``
+    and ``(n, min(k, L))`` that are zero past a row's kept triples; one
+    series is the call on ``series[None]``.  The SVD runs row by row; the
     components, convolutions of sigma_p u_p with v_p over the anti-diagonal
     counts, come from one ``rfft``/``irfft`` pair of 2^ceil(log2 T) points.
     """
+    rows = np.asarray(rows, dtype=float)
     n, T = rows.shape
     K = T - L + 1
     slots = min(k, L)
@@ -142,19 +129,3 @@ def decompose_rows(rows, L: int, k: int):
     nfft = 1 << (T - 1).bit_length()
     conv = np.fft.irfft(np.fft.rfft(su, nfft) * np.fft.rfft(v, nfft), nfft)[..., :T]
     return conv / np.convolve(np.ones(L), np.ones(K)), sv
-
-
-def decompose(series, L: int, max_components: int) -> SsaDecomposition:
-    """Top ``max_components`` elementary reconstructed components: the
-    diagonal averages of the leading rank-1 terms sigma_p u_p v_p' of the
-    Hankel matrix (see ``svd_components``), as ``decompose_rows`` of the
-    one series.
-    """
-    x = np.asarray(series, dtype=float)
-    validate_window_length(L, x.size)
-    if max_components < 1:
-        raise ValueError("max_components must be >= 1")
-    comps, sv = decompose_rows(x[None], L, max_components)
-    kept = sv[0] > 0
-    return SsaDecomposition(components=comps[0, kept], singular_values=sv[0, kept],
-                            window_length=L, source_length=x.size)

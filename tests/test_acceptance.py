@@ -12,20 +12,20 @@ import numpy as np
 import pytest
 
 from lowlight_rppg import (
+    MaskReason,
     PipelineConfig,
     SynthConfig,
-    decompose,
+    decompose_rows,
     detrend,
     diagonal_average,
     estimate_hr,
     generate,
-    overlap_add,
+    overlap_add_rows,
     run_pipeline,
     snr,
     spectral_mask,
 )
 from lowlight_rppg.cli import main, sweep_report
-from lowlight_rppg.selection import CandidateComponent, ReferenceHrState
 
 FS = 30.0
 
@@ -40,8 +40,8 @@ def test_criterion_1_ssa_reconstruction_identity():
     start = time.time()
     for _ in range(50):
         x = rng.normal(size=300)
-        dec = decompose(x, L=100, max_components=300)
-        rec = dec.components.sum(axis=0)
+        components, _ = decompose_rows(x[None], L=100, k=300)
+        rec = components[0].sum(axis=0)
         assert np.linalg.norm(rec - x) / np.linalg.norm(x) < 1e-8
     elapsed = time.time() - start
     assert elapsed < 10.0
@@ -82,8 +82,9 @@ def test_criterion_3_detrend_dense_oracle():
 
 def test_criterion_4_hann_cola():
     """Constant windows at 50% hop reconstruct the constant interior."""
-    windows = [(k * 150, np.ones(300)) for k in range(10)]
-    out = overlap_add(windows, window_len=300)
+    windows = np.ones((10, 300))
+    out = np.zeros(11 * 150)
+    overlap_add_rows(out, windows, hop=150)
     interior = out[150:-150]
     assert np.max(np.abs(interior - 1.0)) / 1.0 < 1e-9
     _report("criterion 4: Hann constant overlap-add")
@@ -93,19 +94,18 @@ def test_criterion_5_mask_truth_table_and_property():
     """The four mask examples plus 1000 random triples vs an independent
     predicate."""
     def case(f_i, f_r, sigma):
-        state = ReferenceHrState(f_r=f_r, sigma_fr=sigma)
-        cand = CandidateComponent(series=np.zeros(4), dominant_freq=f_i,
-                                  singular_value=1.0)
-        return spectral_mask([cand], state)[0]
+        """(accepted, reason) of one candidate, from its spectral_mask code."""
+        reason = list(MaskReason)[spectral_mask([[f_i]], [f_r], [sigma])[0, 0]]
+        return reason in (MaskReason.FUNDAMENTAL_MATCH, MaskReason.HARMONIC_MATCH), reason
 
-    d = case(1.25, 1.2, 0.05)
-    assert d.accepted and d.reason.value == "fundamental-match"
-    d = case(2.4, 1.2, 0.05)
-    assert d.accepted and d.reason.value == "harmonic-match"
-    d = case(3.0, 1.2, 0.05)
-    assert not d.accepted and d.reason.value == "window-reject"
-    d = case(7.0, 3.5, 0.05)
-    assert not d.accepted and d.reason.value == "band-reject"
+    accepted, reason = case(1.25, 1.2, 0.05)
+    assert accepted and reason.value == "fundamental-match"
+    accepted, reason = case(2.4, 1.2, 0.05)
+    assert accepted and reason.value == "harmonic-match"
+    accepted, reason = case(3.0, 1.2, 0.05)
+    assert not accepted and reason.value == "window-reject"
+    accepted, reason = case(7.0, 3.5, 0.05)
+    assert not accepted and reason.value == "band-reject"
 
     # independent predicate, written directly from interval endpoints
     def oracle(f_i, f_r, sigma):
@@ -120,7 +120,7 @@ def test_criterion_5_mask_truth_table_and_property():
         f_i = float(rng.uniform(0.0, 8.0))
         f_r = float(rng.uniform(0.7, 4.0))
         sigma = float(rng.uniform(0.01, 0.5))
-        assert case(f_i, f_r, sigma).accepted == oracle(f_i, f_r, sigma)
+        assert case(f_i, f_r, sigma)[0] == oracle(f_i, f_r, sigma)
     _report("criterion 5: spectral-mask truth table and 1000-triple property")
 
 

@@ -120,6 +120,20 @@ class TestExtract:
             "p.csv", "p.hr.json", "p.windows.json"]
         assert abs(json.loads((tmp_path / "p.hr.json").read_text())["bpm"] - 75.0) <= 1.0
 
+    def test_rate_whose_window_rounds_down(self, tmp_path):
+        # at 30.01 Hz a 10 s window is round(300.1) = 300 samples, and a
+        # 330-sample trace emits one window: a 300-sample pulse, which the
+        # HR step must accept as 10 s
+        trace = generate(SynthConfig(hr_bpm=72.0, fs=30.01, duration_s=11.0,
+                                     noise_rms=(0.0, 0.0, 0.0)))
+        assert len(trace) == 330
+        path = tmp_path / "trace.csv"
+        save_trace_csv(trace, path)
+        assert main(["extract", str(path), str(tmp_path / "p.csv")]) == 0
+        assert sorted(f.name for f in tmp_path.glob("p*")) == [
+            "p.csv", "p.hr.json", "p.windows.json"]
+        assert len(load_pulse_csv(tmp_path / "p.csv").samples) == 300
+
     def test_processing_error_writes_no_file(self, tmp_path, clean_trace, monkeypatch):
         from lowlight_rppg import cli
 

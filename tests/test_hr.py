@@ -6,18 +6,17 @@ import pytest
 
 from lowlight_rppg import (
     SynthConfig,
-    decompose,
+    decompose_rows,
     estimate_hr_series,
     generate,
     green_baseline_signal,
     hr,
     run_pipeline,
-    select_candidates,
+    select_rows,
     sliding_hr,
     spectral_peak,
 )
 from lowlight_rppg.errors import ConfigError, SeriesTooShort, ZeroSignal
-from lowlight_rppg.selection import ReferenceHrState
 
 FS = 30.0
 
@@ -235,10 +234,10 @@ def test_large_searches_take_fft_route(monkeypatch):
     monkeypatch.setattr(hr, "_cosine_table", no_table)
     for fs, T in [(30.0, 300), (60.0, 600)]:
         t = np.arange(T) / fs
-        dec = decompose(np.sin(2 * np.pi * 1.2 * t) + 0.5 * np.sin(2 * np.pi * 0.3 * t),
-                        L=T // 3, max_components=10)
-        sel = select_candidates(dec, fs, ReferenceHrState(f_r=1.2, sigma_fr=0.05))
-        assert any(abs(c.dominant_freq - 1.2) < 0.05 for c in sel.accepted)
+        x = np.sin(2 * np.pi * 1.2 * t) + 0.5 * np.sin(2 * np.pi * 0.3 * t)
+        comps, sv = decompose_rows(x[None], L=T // 3, k=10)
+        freqs, accepted, _ = select_rows(comps, sv, fs, [1.2], [0.05], BAND)
+        assert np.any(np.abs(freqs[accepted] - 1.2) < 0.05)
     t = np.arange(1800) / FS
     assert abs(estimate_hr_series(np.sin(2 * np.pi * 1.2 * t), FS).bpm - 72.0) <= 0.2
 

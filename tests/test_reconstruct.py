@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from lowlight_rppg import (
-    CandidateComponent,
     PipelineConfig,
-    ReferenceHrState,
     bandpass,
-    decompose,
+    decompose_rows,
     detrend,
     dominant_frequency,
     estimate_hr,
-    fuse_window,
+    fuse_rows,
     generate,
-    overlap_add,
+    overlap_add_rows,
     run_pipeline,
-    select_candidates,
+    select_rows,
     snr,
     SynthConfig,
 )
@@ -31,22 +29,23 @@ from lowlight_rppg.ssa import default_window_length
 FS = 30.0
 
 
-def cand(f, series):
-    return CandidateComponent(series=np.asarray(series, dtype=float),
-                              dominant_freq=f, singular_value=1.0)
+def fuse(series, freqs, f_r, sigma):
+    """fuse_rows of one window whose candidates all pass the mask."""
+    comps = np.array([series], dtype=float)
+    return fuse_rows(comps, np.array([freqs]), np.ones(comps.shape[:2], bool),
+                     [f_r], [sigma])[0]
 
 
 def fused_weight_ratio(f_r, sigma, f_b):
-    """w(f_b) / w(f_r) as fuse_window applies it: the fusion of a series
+    """w(f_b) / w(f_r) as fuse_rows applies it: the fusion of a series
     of zeros at f_r and a series of ones at f_b is w_b / (w_r + w_b)."""
-    out = fuse_window([cand(f_r, np.zeros(4)), cand(f_b, np.ones(4))],
-                      ReferenceHrState(f_r=f_r, sigma_fr=sigma))
+    out = fuse([np.zeros(4), np.ones(4)], [f_r, f_b], f_r, sigma)
     assert np.ptp(out) == 0.0
     return out[0] / (1.0 - out[0])
 
 
 class TestGaussianWeight:
-    """The Gaussian weight of fuse_window, as ratios to the weight at the
+    """The Gaussian weight of fuse_rows, as ratios to the weight at the
     reference HR (the normalisation removes the density constant)."""
 
     def test_one_sigma_ratio(self):
@@ -58,62 +57,69 @@ class TestGaussianWeight:
 
 
 class TestFuseWindow:
-    state = ReferenceHrState(f_r=1.2, sigma_fr=0.1)
+    f_r, sigma = 1.2, 0.1
 
     def test_single_component_identity(self):
         s = np.sin(np.linspace(0, 7, 50))
-        out = fuse_window([cand(2.0, s)], self.state)
+        out = fuse([s], [2.0], self.f_r, self.sigma)
         assert np.allclose(out, s, atol=1e-15)
 
     def test_identical_components(self):
         s = np.sin(np.linspace(0, 7, 50))
-        out = fuse_window([cand(1.2, s), cand(2.4, s)], self.state)
+        out = fuse([s, s], [1.2, 2.4], self.f_r, self.sigma)
         assert np.allclose(out, s, atol=1e-12)
 
     def test_hand_computed_weight_ratio(self):
         a = np.ones(10)
         b = np.full(10, 3.0)
         # b sits two sigmas off the mean: w_b / w_a = exp(-2)
-        out = fuse_window([cand(1.2, a), cand(1.4, b)], self.state)
+        out = fuse([a, b], [1.2, 1.4], self.f_r, self.sigma)
         w = np.exp(-2.0)
         expected = (1.0 * 1.0 + w * 3.0) / (1.0 + w)
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_convex_combination(self):
         rng = np.random.default_rng(0)
-        comps = [cand(rng.uniform(0.8, 3.5), rng.normal(size=40)) for _ in range(5)]
-        out = fuse_window(comps, self.state)
-        stack = np.vstack([c.series for c in comps])
+        freqs = [rng.uniform(0.8, 3.5) for _ in range(5)]
+        stack = rng.normal(size=(5, 40))
+        out = fuse(stack, freqs, self.f_r, self.sigma)
         assert np.all(out >= stack.min(axis=0) - 1e-12)
         assert np.all(out <= stack.max(axis=0) + 1e-12)
 
     def test_far_off_component_does_not_nan(self):
         # with sigma floored at 0.01 Hz, raw densities underflow; the
         # log-space normalization must keep the fusion finite
-        st = ReferenceHrState(f_r=1.2, sigma_fr=0.01)
-        out = fuse_window([cand(3.9, np.ones(5)), cand(3.8, np.full(5, 2.0))], st)
+        out = fuse([np.ones(5), np.full(5, 2.0)], [3.9, 3.8], 1.2, 0.01)
         assert np.all(np.isfinite(out))
 
     def test_empty_list(self):
         with pytest.raises(NoAcceptedComponents):
-            fuse_window([], self.state)
+            fuse_rows(np.ones((1, 2, 4)), np.array([[1.2, 1.3]]), np.zeros((1, 2), bool),
+                      [self.f_r], [self.sigma])
+
+
+def assemble(rows, hop):
+    """overlap_add_rows of time-ordered windows into a fresh buffer."""
+    rows = np.asarray(rows, dtype=float)
+    out = np.zeros((len(rows) + 1) * hop)
+    overlap_add_rows(out, rows, hop)
+    return out
 
 
 class TestOverlapAdd:
     def test_single_window_is_hann_curve(self):
         from scipy.signal.windows import hann
-        out = overlap_add([(0, np.ones(300))], window_len=300)
+        out = assemble([np.ones(300)], hop=150)
         assert np.max(np.abs(out - hann(300, sym=False))) <= 1e-15
 
     @pytest.mark.parametrize("win", [2, 600, 1200])
     def test_single_window_is_hann_curve_other_lengths(self, win):
         from scipy.signal.windows import hann
-        out = overlap_add([(0, np.ones(win))], window_len=win)
+        out = assemble([np.ones(win)], hop=win // 2)
         assert np.max(np.abs(out - hann(win, sym=False))) <= 1e-15
 
     def test_cola_constant(self):
-        windows = [(k * 150, np.ones(300)) for k in range(8)]
-        out = overlap_add(windows, window_len=300)
+        out = assemble(np.ones((8, 300)), hop=150)
         interior = out[150:-150]
         assert np.max(np.abs(interior - 1.0)) < 1e-9
 
@@ -121,50 +127,49 @@ class TestOverlapAdd:
         t = np.arange(1800) / FS
         x = np.sin(2 * np.pi * 1.2 * t)
         win, hop = 300, 150
-        windows = [(s, x[s:s + win]) for s in range(0, len(x) - win + 1, hop)]
-        out = overlap_add(windows, window_len=win)
+        out = assemble([x[s:s + win] for s in range(0, len(x) - win + 1, hop)], hop)
         interior = slice(hop, len(out) - hop)
         err = np.linalg.norm(out[interior] - x[interior]) / np.linalg.norm(x[interior])
         assert err < 1e-9
 
-    def test_inconsistent_spacing(self):
-        with pytest.raises(WindowSpacingError):
-            overlap_add([(0, np.ones(300)), (100, np.ones(300))], window_len=300)
-
     def test_wrong_window_length(self):
         with pytest.raises(WindowSpacingError):
-            overlap_add([(0, np.ones(299))], window_len=300)
+            assemble([np.ones(299)], hop=150)
+        with pytest.raises(WindowSpacingError):
+            overlap_add_rows(np.zeros(300), np.ones((2, 300)), 150)
 
 
 def per_window_pipeline(trace, config):
     """The pipeline one window at a time: per-window preprocessing, a
     per-window ``dominant_frequency`` and the last entry of
-    ``reference_sigmas`` over the reference HRs so far, and one
-    ``decompose``/``select_candidates``/``fuse_window`` chain per emitted
-    window, as the reference for the array stages of run_pipeline.
-    Returns the pulse and per-window (f_r, sigma, n_accepted, fallback)."""
+    ``reference_sigmas`` over the reference HRs so far, and one-row
+    ``decompose_rows``/``select_rows``/``fuse_rows``/``overlap_add_rows``
+    calls per emitted window, as the reference for the 64-row blocks of
+    run_pipeline.  Returns the pulse and per-window (f_r, sigma,
+    n_accepted, fallback)."""
     fs = trace.fs
     win = int(round(config.window_s * fs))
     step = int(round(config.step_s * fs))
     hop = win // 2
     L = config.ssa_window or default_window_length(win, fs)
     green = trace.green()
-    history, emitted, refs = [], [], []
-    for start in range(0, len(trace) - win + 1, step):
+    starts = range(0, len(trace) - win + 1, step)
+    pulse = np.zeros((len(starts[::hop // step]) + 1) * hop)
+    history, refs = [], []
+    for start in starts:
         seg = bandpass(detrend(green[start:start + win], config.lam), fs,
                        config.band[0], config.band[1])
         history.append(dominant_frequency(seg, fs, config.band))
-        state = ReferenceHrState(
-            f_r=history[-1],
-            sigma_fr=float(reference_sigmas(history, config.sigma_init)[-1]))
+        ref = [history[-1]], [float(reference_sigmas(history, config.sigma_init)[-1])]
         n_accepted, fallback = 0, False
         if start % hop == 0:
-            dec = decompose(seg, L, max_components=config.sec_chn)
-            sel = select_candidates(dec, fs, state, config.sec_chn, config.band)
-            emitted.append((start, fuse_window(sel.accepted, state)))
-            n_accepted, fallback = len(sel.accepted), sel.fallback_used
-        refs.append((state.f_r, state.sigma_fr, n_accepted, fallback))
-    return overlap_add(emitted, win, hop), refs
+            comps, sv = decompose_rows(seg[None], L, config.sec_chn)
+            freqs, accepted, fallbacks = select_rows(comps, sv, fs, *ref, config.band)
+            fused = fuse_rows(comps, freqs, accepted, *ref)
+            overlap_add_rows(pulse[start:start + win], fused, hop)
+            n_accepted, fallback = int(accepted.sum()), bool(fallbacks[0])
+        refs.append((ref[0][0], ref[1][0], n_accepted, fallback))
+    return pulse, refs
 
 
 class TestRunPipeline:

@@ -2,32 +2,37 @@ import numpy as np
 import pytest
 
 from lowlight_rppg import (
-    CandidateComponent,
+    MaskReason,
     PipelineConfig,
-    ReferenceHrState,
     SynthConfig,
-    decompose,
+    decompose_rows,
     dominant_frequency,
+    fuse_rows,
     generate,
     run_pipeline,
-    select_candidates,
+    select_rows,
     spectral_mask,
 )
 from lowlight_rppg.errors import NoComponents, ZeroSignal
-from lowlight_rppg.selection import SIGMA_FLOOR, MaskReason, reference_sigmas
-from lowlight_rppg.ssa import SsaDecomposition
+from lowlight_rppg.preprocess import PULSE_BAND
+from lowlight_rppg.selection import SIGMA_FLOOR, reference_sigmas
 
 FS = 30.0
+MATCHES = (MaskReason.FUNDAMENTAL_MATCH, MaskReason.HARMONIC_MATCH)
 
 
-def cand(f, sv=1.0, series=None):
-    if series is None:
-        series = np.zeros(4)
-    return CandidateComponent(series=series, dominant_freq=f, singular_value=sv)
+def mask(freqs, f_r, sigma, band=PULSE_BAND):
+    """spectral_mask of one window's candidate frequencies, as reasons."""
+    return [list(MaskReason)[c] for c in spectral_mask([freqs], [f_r], [sigma], band)[0]]
 
 
-def state(f_r, sigma):
-    return ReferenceHrState(f_r=f_r, sigma_fr=sigma)
+def select(x, f_r, sigma, fs=FS, L=100, k=10):
+    """decompose_rows and select_rows of one series: its components,
+    candidate frequencies, accepted flags and fallback flag."""
+    comps, sv = decompose_rows(np.asarray(x)[None], L, k)
+    freqs, accepted, fallback = select_rows(comps, sv, fs, [f_r], [sigma], PULSE_BAND)
+    kept = sv[0] > 0
+    return comps[0, kept], freqs[0, kept], accepted[0, kept], bool(fallback[0])
 
 
 class TestDominantFrequency:
@@ -90,7 +95,7 @@ class TestReferenceHrState:
     def test_sigma_must_be_positive(self):
         for sigma in (0.0, -0.05, float("nan")):
             with pytest.raises(ValueError):
-                ReferenceHrState(f_r=1.0, sigma_fr=sigma)
+                fuse_rows(np.ones((1, 1, 4)), [[1.0]], np.ones((1, 1), bool), [1.0], [sigma])
 
 
 class TestReferenceSigmas:
@@ -119,24 +124,19 @@ class TestReferenceSigmas:
 
 class TestSpectralMask:
     def test_fundamental_match(self):
-        (d,) = spectral_mask([cand(1.25)], state(1.2, 0.05))
-        assert d.accepted and d.reason is MaskReason.FUNDAMENTAL_MATCH
+        assert mask([1.25], 1.2, 0.05) == [MaskReason.FUNDAMENTAL_MATCH]
 
     def test_harmonic_match(self):
-        (d,) = spectral_mask([cand(2.4)], state(1.2, 0.05))
-        assert d.accepted and d.reason is MaskReason.HARMONIC_MATCH
+        assert mask([2.4], 1.2, 0.05) == [MaskReason.HARMONIC_MATCH]
 
     def test_window_reject(self):
-        (d,) = spectral_mask([cand(3.0)], state(1.2, 0.05))
-        assert not d.accepted and d.reason is MaskReason.WINDOW_REJECT
+        assert mask([3.0], 1.2, 0.05) == [MaskReason.WINDOW_REJECT]
 
     def test_band_reject(self):
-        (d,) = spectral_mask([cand(7.0)], state(3.5, 0.05))
-        assert not d.accepted and d.reason is MaskReason.BAND_REJECT
+        assert mask([7.0], 3.5, 0.05) == [MaskReason.BAND_REJECT]
 
     def test_band_reject_follows_band(self):
-        (d,) = spectral_mask([cand(1.25)], state(1.2, 0.05), band=(1.5, 4.0))
-        assert not d.accepted and d.reason is MaskReason.BAND_REJECT
+        assert mask([1.25], 1.2, 0.05, band=(1.5, 4.0)) == [MaskReason.BAND_REJECT]
 
     def test_monotone_in_sigma(self):
         rng = np.random.default_rng(0)
@@ -144,80 +144,81 @@ class TestSpectralMask:
             f_i = rng.uniform(0.5, 5.0)
             f_r = rng.uniform(0.7, 4.0)
             sigma = rng.uniform(0.01, 0.5)
-            (small,) = spectral_mask([cand(f_i)], state(f_r, sigma))
-            (big,) = spectral_mask([cand(f_i)], state(f_r, 2 * sigma))
-            if small.accepted:
-                assert big.accepted
+            (small,) = mask([f_i], f_r, sigma)
+            (big,) = mask([f_i], f_r, 2 * sigma)
+            if small in MATCHES:
+                assert big in MATCHES
 
     def test_amplitude_invariant(self):
-        series = np.sin(np.linspace(0, 10, 300))
-        st = state(1.2, 0.05)
-        a = spectral_mask([cand(1.25, series=series)], st)
-        b = spectral_mask([cand(1.25, series=100 * series)], st)
-        assert a == b
+        t = np.arange(300) / FS
+        x = np.sin(2 * np.pi * 1.2 * t) + 0.5 * np.random.default_rng(3).normal(size=300)
+        comps, sv = decompose_rows(x[None], 100, 10)
+        a = select_rows(comps, sv, FS, [1.2], [0.05], PULSE_BAND)
+        b = select_rows(100 * comps, 100 * sv, FS, [1.2], [0.05], PULSE_BAND)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_accepted_implies_in_band(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
             f_i = rng.uniform(0.0, 8.0)
-            st = state(rng.uniform(0.7, 4.0), rng.uniform(0.01, 1.0))
-            (d,) = spectral_mask([cand(f_i)], st)
-            if d.accepted:
+            (reason,) = mask([f_i], rng.uniform(0.7, 4.0), rng.uniform(0.01, 1.0))
+            if reason in MATCHES:
                 assert 0.7 <= f_i <= 4.0
 
     def test_harmonic_pair_both_accepted(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            st = state(rng.uniform(0.8, 1.9), rng.uniform(0.01, 0.1))
-            f = rng.uniform(st.f_r - 3 * st.sigma_fr, st.f_r + 3 * st.sigma_fr)
+            f_r, sigma = rng.uniform(0.8, 1.9), rng.uniform(0.01, 0.1)
+            f = rng.uniform(f_r - 3 * sigma, f_r + 3 * sigma)
             if not (0.7 <= f <= 4.0 and 0.7 <= 2 * f <= 4.0):
                 continue
-            decisions = spectral_mask([cand(f), cand(2 * f)], st)
-            assert all(d.accepted for d in decisions)
+            assert all(r in MATCHES for r in mask([f, 2 * f], f_r, sigma))
+
+    def test_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(5)
+        freqs = rng.uniform(0.0, 8.0, (40, 6))
+        freqs[::7, -2:] = np.inf  # empty slots
+        f_r, sigma = rng.uniform(0.7, 4.0, 40), rng.uniform(0.01, 0.5, 40)
+        codes = spectral_mask(freqs, f_r, sigma)
+        assert codes.shape == freqs.shape
+        for row, f, s, c in zip(freqs, f_r, sigma, codes):
+            assert [list(MaskReason)[i] for i in c] == mask(row, f, s)
+        assert np.all(codes[::7, -2:] == list(MaskReason).index(MaskReason.BAND_REJECT))
 
 
 class TestSelectCandidates:
     def test_pure_sine_selects_top_two(self):
         t = np.arange(300) / FS
-        x = np.sin(2 * np.pi * 1.2 * t)
-        dec = decompose(x, L=100, max_components=10)
-        sel = select_candidates(dec, FS, state(1.2, 0.05))
-        assert len(sel.accepted) == 2
-        assert not sel.fallback_used
-        for c in sel.accepted:
-            assert abs(c.dominant_freq - 1.2) < 0.05
+        _, freqs, accepted, fallback = select(np.sin(2 * np.pi * 1.2 * t), 1.2, 0.05)
+        assert accepted.sum() == 2
+        assert not fallback
+        assert np.all(np.abs(freqs[accepted] - 1.2) < 0.05)
 
     def test_drift_band_rejected(self):
         t = np.arange(300) / FS
         x = np.sin(2 * np.pi * 1.2 * t) + 5.0 * np.sin(2 * np.pi * 0.4 * t)
-        dec = decompose(x, L=100, max_components=10)
-        sel = select_candidates(dec, FS, state(1.2, 0.05))
+        _, freqs, accepted, _ = select(x, 1.2, 0.05)
         # per-component FFT oracle: drift components live near 0.4 Hz
-        for c, d in zip(sel.candidates, sel.decisions):
-            if abs(c.dominant_freq - 0.4) < 0.1:
-                assert not d.accepted
-                assert d.reason is MaskReason.BAND_REJECT
-        assert any(abs(c.dominant_freq - 0.4) < 0.1 for c in sel.candidates)
-        for c in sel.accepted:
-            assert abs(c.dominant_freq - 1.2) < 0.05
+        drift = np.abs(freqs - 0.4) < 0.1
+        assert np.any(drift)
+        assert not np.any(accepted[drift])
+        assert mask(freqs[drift], 1.2, 0.05) == [MaskReason.BAND_REJECT] * drift.sum()
+        assert np.all(np.abs(freqs[accepted] - 1.2) < 0.05)
 
     def test_candidate_freqs_match_per_component_search(self):
         rng = np.random.default_rng(4)
         t = np.arange(300) / FS
         x = np.sin(2 * np.pi * 1.2 * t) + 0.5 * rng.normal(size=300)
-        dec = decompose(x, L=100, max_components=10)
-        sel = select_candidates(dec, FS, state(1.2, 0.05))
-        expected = [dominant_frequency(c, FS, band=(0.05, FS / 2)) for c in dec.components]
-        assert [c.dominant_freq for c in sel.candidates] == expected
+        comps, freqs, _, _ = select(x, 1.2, 0.05)
+        expected = [dominant_frequency(c, FS, band=(0.05, FS / 2)) for c in comps]
+        assert freqs.tolist() == expected
 
     def test_fallback_returns_nearest(self):
         t = np.arange(300) / FS
-        x = np.sin(2 * np.pi * 3.9 * t)
-        dec = decompose(x, L=100, max_components=10)
-        sel = select_candidates(dec, FS, state(1.2, 0.05))
-        assert sel.fallback_used
-        assert len(sel.accepted) == 1
-        assert abs(sel.accepted[0].dominant_freq - 3.9) < 0.05
+        _, freqs, accepted, fallback = select(np.sin(2 * np.pi * 3.9 * t), 1.2, 0.05)
+        assert fallback
+        assert accepted.sum() == 1
+        assert abs(freqs[accepted][0] - 3.9) < 0.05
 
     @pytest.mark.parametrize("tones", [(1.0, 1.5), (1.5, 1.0)])
     def test_fallback_tie_keeps_the_first_candidate(self, tones):
@@ -225,20 +226,17 @@ class TestSelectCandidates:
         # distances to the midpoint of two candidates are exactly equal
         fs = 32.0
         t = np.arange(300) / fs
-        comps = np.array([np.sin(2 * np.pi * f * t) for f in tones])
-        dec = SsaDecomposition(components=comps, singular_values=np.array([2.0, 1.0]),
-                               window_length=100, source_length=300)
-        first, second = (dominant_frequency(c, fs, band=(0.05, fs / 2)) for c in comps)
+        comps = np.array([[np.sin(2 * np.pi * f * t) for f in tones]])
+        first, second = (dominant_frequency(c, fs, band=(0.05, fs / 2)) for c in comps[0])
         f_r = (first + second) / 2
         assert abs(first - f_r) == abs(second - f_r) > 3 * 0.01
-        sel = select_candidates(dec, fs, state(f_r, 0.01))
-        assert sel.fallback_used
-        assert [c.dominant_freq for c in sel.accepted] == [first]
-        assert sel.accepted[0].series is sel.candidates[0].series
+        freqs, accepted, fallback = select_rows(comps, np.array([[2.0, 1.0]]), fs,
+                                                [f_r], [0.01], PULSE_BAND)
+        assert fallback.tolist() == [True]
+        assert accepted.tolist() == [[True, False]]
+        assert freqs.tolist() == [[first, second]]
 
     def test_empty_decomposition(self):
-        dec = SsaDecomposition(components=np.empty((0, 100)),
-                               singular_values=np.empty(0),
-                               window_length=30, source_length=100)
         with pytest.raises(NoComponents):
-            select_candidates(dec, FS, state(1.2, 0.05))
+            select_rows(np.empty((1, 0, 100)), np.empty((1, 0)), FS, [1.2], [0.05],
+                        PULSE_BAND)

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import hankel
 
 from lowlight_rppg import (
-    decompose,
+    decompose_rows,
     diagonal_average,
     dominant_frequency,
     hankel_embed,
@@ -182,57 +182,95 @@ class TestDiagonalAverage:
                            atol=1e-12)
 
 
+def kept_components(x, L, k):
+    """decompose_rows of one series: its kept components and singular values."""
+    comps, sv = decompose_rows(np.asarray(x, dtype=float)[None], L, k)
+    kept = sv[0] > 0
+    return comps[0, kept], sv[0, kept]
+
+
 class TestDecompose:
     fs = 30.0
 
     def test_sine_is_rank_two(self):
         t = np.arange(300) / self.fs
         x = np.sin(2 * np.pi * 1.2 * t)
-        dec = decompose(x, L=90, max_components=10)
-        top2 = dec.components[:2].sum(axis=0)
+        components, _ = kept_components(x, L=90, k=10)
+        top2 = components[:2].sum(axis=0)
         energy = np.sum(top2**2) / np.sum(x**2)
         assert energy >= 0.99
 
     def test_zero_series_has_no_components(self):
-        dec = decompose(np.zeros(100), L=30, max_components=10)
-        assert len(dec) == 0
+        comps, sv = decompose_rows(np.zeros((1, 100)), L=30, k=10)
+        assert comps.shape == (1, 10, 100) and sv.shape == (1, 10)
+        assert not np.any(sv) and not np.any(comps)
 
     def test_two_tones_top_four(self):
         t = np.arange(600) / self.fs
         x = np.sin(2 * np.pi * 1.2 * t) + np.sin(2 * np.pi * 2.4 * t)
-        dec = decompose(x, L=200, max_components=10)
-        top4 = dec.components[:4].sum(axis=0)
+        components, _ = kept_components(x, L=200, k=10)
+        top4 = components[:4].sum(axis=0)
         assert np.sum(top4**2) / np.sum(x**2) >= 0.99
         # a 600-sample tone only localizes its peak to the natural
         # resolution fs/T, regardless of zero-padding
         bin_width = self.fs / 600
-        for comp in dec.components[:4]:
+        for comp in components[:4]:
             f = dominant_frequency(comp, self.fs)
             assert min(abs(f - 1.2), abs(f - 2.4)) <= bin_width + 1e-9
 
     def test_full_reconstruction_identity(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=120)
-        dec = decompose(x, L=40, max_components=40)
-        rec = dec.components.sum(axis=0)
+        components, _ = kept_components(x, L=40, k=40)
+        rec = components.sum(axis=0)
         assert np.linalg.norm(rec - x) / np.linalg.norm(x) < 1e-8
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=90)
-        a = decompose(x, L=30, max_components=5)
-        b = decompose(4.0 * x, L=30, max_components=5)
-        assert np.allclose(b.components, 4.0 * a.components, atol=1e-10)
-        assert np.allclose(b.singular_values / b.singular_values[0],
-                           a.singular_values / a.singular_values[0], atol=1e-12)
+        comps_a, sv_a = kept_components(x, L=30, k=5)
+        comps_b, sv_b = kept_components(4.0 * x, L=30, k=5)
+        assert np.allclose(comps_b, 4.0 * comps_a, atol=1e-10)
+        assert np.allclose(sv_b / sv_b[0], sv_a / sv_a[0], atol=1e-12)
 
     def test_energy_ordering_on_sinusoids(self):
         t = np.arange(300) / self.fs
         x = np.sin(2 * np.pi * 1.2 * t) + 0.4 * np.sin(2 * np.pi * 2.0 * t)
-        dec = decompose(x, L=100, max_components=4)
-        norms = [np.linalg.norm(c) for c in dec.components]
+        components, _ = kept_components(x, L=100, k=4)
+        norms = [np.linalg.norm(c) for c in components]
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-9
+
+    @pytest.mark.parametrize("T, L, k, tones", [
+        (300, 100, 10, None),
+        (600, 200, 10, None),
+        (120, 40, 40, None),  # k above L/2: the full-SVD route
+        (61, 20, 7, None),    # odd T, nfft well above T
+        # noiseless tones keep 2 triples each of 10; the other slots are empty
+        (300, 100, 10, [1.2]),
+        (300, 100, 10, [1.2, 2.4]),
+    ], ids=["300-100-10", "600-200-10", "full-svd", "odd-T", "one-tone-empty-slots",
+            "two-tones-empty-slots"])
+    def test_components_match_diagonal_average_oracle(self, T, L, k, tones):
+        rng = np.random.default_rng(T + L + k)
+        if tones is None:
+            rows = rng.normal(size=(3, T))
+        else:
+            t = np.arange(T) / self.fs
+            rows = np.array([sum(a * np.sin(2 * np.pi * f * t + p) for f in tones)
+                             for a, p in [(1.0, 0.0), (3.0, 1.0)]])
+        comps, sv = decompose_rows(rows, L, k)
+        assert comps.shape == (len(rows), min(k, L), T) and sv.shape == comps.shape[:2]
+        for row, row_comps, row_sv in zip(rows, comps, sv):
+            triples = svd_components(hankel_embed(row, L), k)
+            assert len(triples) == np.count_nonzero(row_sv)
+            if tones is not None:
+                assert len(triples) == 2 * len(tones) < k
+            for p, (s, u, v) in enumerate(triples):
+                oracle = diagonal_average(s * np.outer(u, v))
+                assert row_sv[p] == s
+                assert np.max(np.abs(row_comps[p] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+            assert not np.any(row_comps[len(triples):]) and not np.any(row_sv[len(triples):])
 
 
 def test_default_window_length():
