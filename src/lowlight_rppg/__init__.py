@@ -10,7 +10,8 @@ here load on first use (PEP 562), so the pipeline does not pay for them.
 
 import importlib
 
-from .hr import HrEstimate, estimate_hr, estimate_hr_series, sliding_hr, spectral_peak
+from .hr import (HrEstimate, dominant_frequencies, estimate_hr, estimate_hr_series,
+                 sliding_hr, spectral_peak)
 from .ingest import (
     RawTrace,
     RoiFrame,
@@ -28,13 +29,7 @@ from .reconstruct import (
     overlap_add_rows,
     run_pipeline,
 )
-from .selection import (
-    MaskReason,
-    dominant_frequencies,
-    dominant_frequency,
-    select_rows,
-    spectral_mask,
-)
+from .selection import MaskReason, select_rows, spectral_mask
 from .ssa import decompose_rows, diagonal_average, hankel_embed, svd_components
 
 __version__ = "0.1.0"
@@ -61,11 +56,10 @@ __all__ = [
     "load_trace_csv", "save_trace_csv", "load_roi_frames",
     "detrend", "bandpass",
     "hankel_embed", "svd_components", "diagonal_average", "decompose_rows",
-    "MaskReason", "dominant_frequency", "dominant_frequencies",
-    "spectral_mask", "select_rows",
+    "MaskReason", "spectral_mask", "select_rows",
     "PulseWave", "PipelineConfig", "fuse_rows", "overlap_add_rows", "run_pipeline",
     "HrEstimate", "estimate_hr", "estimate_hr_series", "sliding_hr",
-    "spectral_peak",
+    "dominant_frequencies", "spectral_peak",
     "EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate",
     "SynthConfig", "attenuate", "generate", "illumination_sweep",
     "green_baseline_signal", "green_baseline_hr",

@@ -9,10 +9,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, SeriesTooShort, ZeroSignal
-from .preprocess import PULSE_BAND, pow2_scaled
+from .preprocess import PULSE_BAND, pow2_scaled, sample_count
 
-# Zero-pad target: <= 0.11 bpm resolution at fs = 30 Hz.
-_MIN_NFFT = 2**14
+# Zero-pad target of the HR estimates: <= 0.11 bpm resolution at fs = 30 Hz.
+_HR_MIN_NFFT = 2**14
 
 # sliding_hr searches this many windows per spectral_peak call.  On the
 # cosine route, which 10 s windows at 30 and 60 Hz take, each call streams
@@ -108,41 +108,47 @@ def spectral_peak(x, fs: float, band: tuple[float, float], nfft: int) -> np.ndar
     return freqs[k0:k0 + m][peak]
 
 
+def dominant_frequencies(x, fs: float, band: tuple[float, float],
+                         min_nfft: int = 8192) -> np.ndarray:
+    """Frequency of the largest zero-padded FFT magnitude within ``band``,
+    per series: the one entry point of every spectral-peak search.
+
+    ``x`` is one series or an ``(..., T)`` stack of them.  Each series is
+    divided by a power of two near its max ``|x|`` (``pow2_scaled``), so
+    no scale overflows or underflows the search, and mean-removed, so
+    zero-padding does not smear a DC offset across the spectrum; a
+    constant series has no peak (``ZeroSignal``).  It is then searched by
+    ``spectral_peak`` at ``max(min_nfft, T)`` points: the default 8192
+    serves the spectral mask, and the HR estimates pass 2^14.  The result
+    has shape ``x.shape[:-1]``.
+    """
+    x = pow2_scaled(np.asarray(x, dtype=float))[0]
+    x = x - x.mean(axis=-1, keepdims=True)
+    if not np.all(np.any(x, axis=-1)):
+        raise ZeroSignal("constant series has no spectral peak")
+    return spectral_peak(x, fs, band, max(min_nfft, x.shape[-1]))
+
+
 @dataclass(frozen=True)
 class HrEstimate:
     bpm: float
     peak_freq: float
 
 
-def _zscore(x):
-    """Rows of ``x`` (along the last axis) at zero mean and unit std.
-
-    Rows are first divided by a power of two near their max ``|x|``
-    (``pow2_scaled``), so the std neither overflows nor underflows.
-    """
-    x = pow2_scaled(x)[0]
-    x = x - x.mean(axis=-1, keepdims=True)
-    std = x.std(axis=-1, keepdims=True)
-    if np.any(std == 0.0):
-        raise ZeroSignal("constant pulse wave has no spectral peak")
-    return x / std
-
-
 def estimate_hr_series(samples, fs: float, min_duration_s: float = 10.0,
                        band: tuple[float, float] = PULSE_BAND) -> HrEstimate:
     """HR (bpm) from the spectral power peak of a pulse signal.
 
-    The signal is z-score normalized (making the estimate amplitude
-    invariant) and zero-padded to at least 2^14 points; HR is 60 times its
-    ``spectral_peak`` within ``band`` (Hz).  Ties break toward the lower
+    HR is 60 times the signal's ``dominant_frequencies`` within ``band``
+    (Hz), zero-padded to at least 2^14 points.  Ties break toward the lower
     frequency (favoring the fundamental over a harmonic); no peak
     interpolation is applied.
     """
     x = np.asarray(samples, dtype=float)
-    need = int(round(min_duration_s * fs))  # samples, rounded as sliding_hr's window
+    need = sample_count(min_duration_s, fs)  # rounded as sliding_hr's window
     if x.size < need:
         raise SeriesTooShort(f"need at least {need} samples ({min_duration_s} s), got {x.size}")
-    peak = float(spectral_peak(_zscore(x), fs, band, max(_MIN_NFFT, x.size)))
+    peak = float(dominant_frequencies(x, fs, band, _HR_MIN_NFFT))
     return HrEstimate(bpm=60.0 * peak, peak_freq=peak)
 
 
@@ -157,18 +163,18 @@ def sliding_hr(samples, fs: float, win_s: float = 10.0, step_s: float = 1.0,
     """Per-window HR estimates as (window center time, bpm) pairs.
 
     Each window is estimated as by ``estimate_hr_series``; the window
-    stack is z-scored and searched by ``spectral_peak`` in blocks of
+    stack is searched by ``dominant_frequencies`` in blocks of
     ``_BLOCK_ROWS`` rows.
     """
     x = np.asarray(samples, dtype=float)
-    win = int(round(win_s * fs))
-    step = int(round(step_s * fs))
+    win = sample_count(win_s, fs)
+    step = sample_count(step_s, fs)
     if win < 1 or step < 1:
         raise ConfigError(f"window ({win}) and step ({step}) must be at least one sample")
     if x.size < win:
         raise SeriesTooShort(f"need at least {win_s} s of samples")
     windows = sliding_window_view(x, win)[::step]
-    nfft = max(_MIN_NFFT, win)
-    peaks = np.concatenate([spectral_peak(_zscore(windows[b:b + _BLOCK_ROWS]), fs, band, nfft)
+    peaks = np.concatenate([dominant_frequencies(windows[b:b + _BLOCK_ROWS], fs, band,
+                                                 _HR_MIN_NFFT)
                             for b in range(0, len(windows), _BLOCK_ROWS)])
     return [(i * step / fs + win_s / 2.0, 60.0 * float(f)) for i, f in enumerate(peaks)]

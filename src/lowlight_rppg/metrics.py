@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, PairingError, SeriesTooShort
-from .preprocess import PULSE_BAND, pow2_scaled
+from .preprocess import PULSE_BAND, pow2_scaled, sample_count
 from .reconstruct import periodic_hann
 
 SNR_CAP_DB = 60.0          # reported ceiling for zero-residual (pure tone) inputs
@@ -91,8 +91,8 @@ def spectrogram(series, fs: float, win_s: float = 10.0, hop_s: float = 1.0,
     numpy.
     """
     x = np.asarray(series, dtype=float)
-    nperseg = int(round(win_s * fs))
-    step = int(round(hop_s * fs))
+    nperseg = sample_count(win_s, fs)
+    step = sample_count(hop_s, fs)
     if nperseg < 1 or step < 1:
         raise ConfigError(f"window {win_s} s or hop {hop_s} s is under one sample at {fs} Hz")
     if x.size < nperseg:

@@ -30,6 +30,16 @@ def check_lambda(lam) -> float:
     return float(lam)
 
 
+def sample_count(seconds: float, fs: float) -> int:
+    """``round(seconds * fs)``, the samples that ``seconds`` span at ``fs``
+    Hz; a product that is not finite, such as 1e308 s at 30 Hz, is a
+    ConfigError."""
+    n = float(seconds) * float(fs)
+    if not np.isfinite(n):
+        raise ConfigError(f"{seconds} s at {fs} Hz is not a finite number of samples")
+    return int(round(n))
+
+
 def pow2_scaled(x, axis=-1):
     """``(x / 2**e, e)``, with ``2**e`` the power of two just above max
     ``|x|`` along ``axis`` (``None``: all of ``x``) and ``e`` kept

@@ -13,15 +13,11 @@ from .errors import (
     TraceTooShort,
     WindowSpacingError,
 )
+from .hr import dominant_frequencies
 from .ingest import RawTrace
-from .preprocess import PULSE_BAND, DEFAULT_LAMBDA, bandpass, check_lambda, detrend
-from .selection import (
-    DEFAULT_SEC_CHN,
-    SIGMA_INIT,
-    dominant_frequencies,
-    reference_sigmas,
-    select_rows,
-)
+from .preprocess import (PULSE_BAND, DEFAULT_LAMBDA, bandpass, check_lambda, detrend,
+                         sample_count)
+from .selection import DEFAULT_SEC_CHN, SIGMA_INIT, reference_sigmas, select_rows
 from .ssa import decompose_rows, default_window_length
 
 # run_pipeline takes the window stack through preprocessing and the
@@ -98,6 +94,12 @@ class PulseWave:
         return self.samples.shape[0]
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """ConfigError unless ``value`` is an integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Pipeline settings; out-of-range values raise ConfigError here.
@@ -123,10 +125,11 @@ class PipelineConfig:
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         check_lambda(self.lam)
-        if self.sec_chn < 1:
-            raise ConfigError(f"sec_chn must be >= 1, got {self.sec_chn}")
-        if self.ssa_window is not None and self.ssa_window < 2:
-            raise ConfigError(f"ssa_window must be >= 2, got {self.ssa_window}")
+        _check_count("sec_chn", self.sec_chn, 1)
+        if self.ssa_window is not None:
+            _check_count("ssa_window", self.ssa_window, 2)
+        if np.shape(self.band) != (2,):
+            raise ConfigError(f"band must be a (low, high) pair, got {self.band!r}")
         low, high = self.band
         if not (np.isfinite(high) and 0 < low < high):
             raise ConfigError(f"band needs 0 < low < high, got [{low}, {high}]")
@@ -138,8 +141,9 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     The green channel is cut into 10 s windows every ``step_s``, an
     ``(n_windows, T)`` stack that runs through array stages in blocks of
     ``_BLOCK_ROWS`` rows: ``detrend``, ``bandpass`` and
-    ``dominant_frequencies`` give every window's samples and reference
-    HR, and ``reference_sigmas`` its dispersion.  The windows starting on
+    ``hr.dominant_frequencies`` (within ``band``, at 8192 points) give
+    every window's samples and reference HR, and ``reference_sigmas`` its
+    dispersion.  The windows starting on
     half-window boundaries are then emitted, in blocks too: a per-window
     SVD, and for the whole block one component convolution
     (``decompose_rows``), one candidate search and mask (``select_rows``),
@@ -149,8 +153,8 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     normalization.
     """
     fs = trace.fs
-    win = int(round(config.window_s * fs))
-    step = int(round(config.step_s * fs))
+    win = sample_count(config.window_s, fs)
+    step = sample_count(config.step_s, fs)
     hop = win // 2
     if win % 2 or step < 1:
         raise ConfigError("window must be an even number of samples and step >= 1")

@@ -7,17 +7,13 @@ import math
 
 import numpy as np
 
-from .errors import NoComponents, SeriesTooShort, ZeroSignal
-from .hr import spectral_peak
+from .errors import NoComponents
+from .hr import dominant_frequencies
 from .preprocess import PULSE_BAND
 
 SIGMA_INIT = 0.05   # Hz, mask half-width seed before any HR history exists
 SIGMA_FLOOR = 0.01  # Hz, keeps the mask from collapsing when HR is constant
 DEFAULT_SEC_CHN = 10
-
-# Minimum FFT length for dominant-frequency search, so the frequency
-# resolution is at most fs/8192.
-_MIN_NFFT = 8192
 
 
 class MaskReason(enum.Enum):
@@ -32,31 +28,6 @@ _REASONS = tuple(MaskReason)
 # Per code, whether the reason accepts the candidate.
 _ACCEPTS = np.array([r in (MaskReason.FUNDAMENTAL_MATCH, MaskReason.HARMONIC_MATCH)
                      for r in _REASONS])
-
-
-def dominant_frequencies(rows, fs: float, band: tuple[float, float]) -> np.ndarray:
-    """Frequency of the largest FFT magnitude within ``band``, per row.
-
-    ``rows`` is an ``(n, T)`` array; each row is mean-removed, zero-padded
-    to at least 8192 points and searched with ``spectral_peak``, so ties
-    resolve to the lower frequency.  Returns shape ``(n,)``.
-    """
-    x = np.asarray(rows, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected an (n, T) array, got shape {x.shape}")
-    if x.shape[1] < 2:
-        raise SeriesTooShort("dominant frequency needs at least 2 samples")
-    # remove the mean so zero-padding does not smear a DC offset across
-    # the whole spectrum
-    x = x - x.mean(axis=1, keepdims=True)
-    if not np.all(np.any(x, axis=1)):
-        raise ZeroSignal("constant series has no dominant frequency")
-    return spectral_peak(x, fs, band, max(_MIN_NFFT, x.shape[1]))
-
-
-def dominant_frequency(series, fs: float, band: tuple[float, float] = PULSE_BAND) -> float:
-    """``dominant_frequencies`` of a single series."""
-    return float(dominant_frequencies(np.reshape(series, (1, -1)), fs, band)[0])
 
 
 def reference_sigmas(f_r, sigma_init: float) -> np.ndarray:
@@ -103,8 +74,8 @@ def select_rows(components, singular_values, fs: float, f_r, sigma_fr,
     arrays of n windows against their ``(n,)`` references.
 
     Candidate dominant frequencies are searched over the full spectrum
-    (excluding DC), with one ``dominant_frequencies`` call for every kept
-    component, so that out-of-band components such as residual drift get
+    (excluding DC), with one ``hr.dominant_frequencies`` call at its
+    default 8192 points for every kept component, so that out-of-band components such as residual drift get
     their true frequency and are band-rejected.  If the mask rejects all
     of a window's components, the one closest to its reference HR (the
     first on a tie) is kept and the window flagged, so fusion never

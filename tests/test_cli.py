@@ -324,6 +324,23 @@ def test_pipeline_flag_defaults_are_the_config_defaults():
     assert _pipeline_config(args) == PipelineConfig()
 
 
+@pytest.mark.parametrize("flag", ["--window-s", "--step-s"])
+@pytest.mark.parametrize("command", ["extract", "evaluate", "analyze", "sweep"])
+def test_huge_window_or_step_exit_2(tmp_path, clean_trace, clean_config, capsys,
+                                    command, flag):
+    # 1e308 s is finite, but its sample count is not: it used to end in an
+    # OverflowError traceback
+    ref = tmp_path / "ref.csv"
+    write_reference(ref, 72.0, np.arange(5.0, 56.0, 1.0))
+    args = {"extract": [clean_trace, tmp_path / "pulse.csv"],
+            "evaluate": [clean_trace, ref, tmp_path / "report.json"],
+            "analyze": [clean_trace, tmp_path / "out"],
+            "sweep": [clean_config, tmp_path / "report.csv", "--levels", "1.0"]}[command]
+    assert main([command, *map(str, args), flag, "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_load_pulse_csv_header_only_is_parse_error(tmp_path):
     # it used to return an empty pulse
     path = tmp_path / "pulse.csv"

@@ -1,15 +1,16 @@
-"""Fuzzed input files: the readers raise only input errors, the CLI exits
-0, 2 or 3 and never with a traceback."""
+"""Fuzzed input files and numeric flags: the readers raise only input
+errors, the CLI exits 0, 2 or 3 and never with a traceback."""
 
 import json
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lowlight_rppg import load_trace_csv
+from lowlight_rppg import PipelineConfig, load_trace_csv
 from lowlight_rppg.cli import _INPUT_ERRORS, load_pulse_csv, load_reference_csv, main
 
 # capsys is read and cleared on every example, so it may be function-scoped
@@ -122,6 +123,40 @@ def test_evaluate(capsys, content, reference):
         _exits_cleanly(capsys, ["evaluate", _write(d, "in.csv", content),
                                 _write(d, "ref.csv", reference),
                                 os.path.join(d, "report.json")])
+
+
+# (flag, value) pairs for the numeric pipeline flags: edge values and a
+# valid value, the default where there is one (50 is the largest SSA
+# window of a 10 s window at 10 Hz).  Edge values rather than arbitrary
+# floats keep the examples few and fast; integer flags take integer edges.
+_default = PipelineConfig()
+_FLOAT_FLAGS = {"--window-s": _default.window_s, "--step-s": _default.step_s,
+                "--lambda": _default.lam, "--band-low": _default.band[0],
+                "--band-high": _default.band[1], "--sigma-init": _default.sigma_init}
+_INT_FLAGS = {"--ssa-window": 50, "--sec-chn": _default.sec_chn}
+FLAG_VALUES = (
+    [(flag, value) for flag, default in _FLOAT_FLAGS.items()
+     for value in ["0", "-1", "nan", "inf", "1e-300", "1e308", str(default)]]
+    + [(flag, value) for flag, default in _INT_FLAGS.items()
+       for value in ["0", "-1", "2", str(10**18), str(default)]])
+pipeline_flags = st.lists(st.sampled_from(FLAG_VALUES), min_size=1, max_size=3).map(
+    lambda pairs: [f"{flag}={value}" for flag, value in pairs])
+
+# 15 s of a noisy 1.2 Hz pulse at 10 Hz, enough for the default 10 s window
+_rng = np.random.default_rng(0)
+_t = np.arange(150) / 10.0
+FLAG_TRACE = _csv(10, [[repr(float(v)) for v in 100.0 + np.sin(2 * np.pi * 1.2 * t)
+                        + 0.3 * _rng.normal(size=3)] for t in _t])
+
+
+@pytest.mark.filterwarnings("ignore:series of")  # a band edge near 0 Hz settles slowly
+@pytest.mark.parametrize("command", ["extract", "analyze"])
+@settings(FUZZ, max_examples=100)
+@given(flags=pipeline_flags)
+def test_pipeline_flags(capsys, command, flags):
+    with tempfile.TemporaryDirectory() as d:
+        argv = [command, _write(d, "trace.csv", FLAG_TRACE), os.path.join(d, "out"), *flags]
+        _exits_cleanly(capsys, argv)
 
 
 # SynthConfig JSON: each field mostly a value in or near its valid range,

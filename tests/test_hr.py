@@ -7,6 +7,7 @@ import pytest
 from lowlight_rppg import (
     SynthConfig,
     decompose_rows,
+    dominant_frequencies,
     estimate_hr_series,
     generate,
     green_baseline_signal,
@@ -225,6 +226,19 @@ def test_extreme_scale_keeps_peak(cap, scale, monkeypatch):
     unscaled = float(spectral_peak(x, FS, BAND, 8192))
     assert abs(unscaled - 1.3) <= FS / 8192
     assert float(spectral_peak(scale * x, FS, BAND, 8192)) == unscaled
+
+
+@pytest.mark.parametrize("cap", [hr._MAX_TABLE_ENTRIES, 0], ids=["cosine", "fft"])
+@pytest.mark.parametrize("scale", [1e308, 1e-320])
+def test_dominant_frequencies_extreme_scale_keeps_peak(cap, scale, monkeypatch):
+    # at 1e308 the row mean used to overflow, and the peak fell on the band
+    # edge; 1e-320 is subnormal
+    monkeypatch.setattr(hr, "_MAX_TABLE_ENTRIES", cap)
+    x = np.sin(2 * np.pi * 1.2 * np.arange(300) / FS)
+    for band in [BAND, (0.05, FS / 2)]:
+        unscaled = float(dominant_frequencies(x, FS, band))
+        assert abs(unscaled - 1.2) <= FS / 8192
+        assert float(dominant_frequencies(scale * x, FS, band)) == unscaled
 
 
 def test_large_searches_take_fft_route(monkeypatch):

@@ -6,7 +6,7 @@ from lowlight_rppg import (
     bandpass,
     decompose_rows,
     detrend,
-    dominant_frequency,
+    dominant_frequencies,
     estimate_hr,
     fuse_rows,
     generate,
@@ -141,7 +141,7 @@ class TestOverlapAdd:
 
 def per_window_pipeline(trace, config):
     """The pipeline one window at a time: per-window preprocessing, a
-    per-window ``dominant_frequency`` and the last entry of
+    per-window ``dominant_frequencies`` and the last entry of
     ``reference_sigmas`` over the reference HRs so far, and one-row
     ``decompose_rows``/``select_rows``/``fuse_rows``/``overlap_add_rows``
     calls per emitted window, as the reference for the 64-row blocks of
@@ -159,7 +159,7 @@ def per_window_pipeline(trace, config):
     for start in starts:
         seg = bandpass(detrend(green[start:start + win], config.lam), fs,
                        config.band[0], config.band[1])
-        history.append(dominant_frequency(seg, fs, config.band))
+        history.append(dominant_frequencies(seg, fs, config.band))
         ref = [history[-1]], [float(reference_sigmas(history, config.sigma_init)[-1])]
         n_accepted, fallback = 0, False
         if start % hop == 0:
@@ -245,6 +245,8 @@ class TestRunPipeline:
     @pytest.mark.parametrize("field, value", [
         ("sec_chn", 0), ("sigma_init", 0.0), ("lam", -1.0), ("window_s", 0.0),
         ("band", (4.0, 0.7)), ("band", (0.7, float("inf"))), ("lam", 1e8),
+        # wrong types: each used to reach run_pipeline, or unpack, unchecked
+        ("sec_chn", 2.5), ("sec_chn", True), ("ssa_window", 50.5), ("band", (0.7, 2.0, 4.0)),
     ])
     def test_config_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ConfigError):

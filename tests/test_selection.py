@@ -6,7 +6,7 @@ from lowlight_rppg import (
     PipelineConfig,
     SynthConfig,
     decompose_rows,
-    dominant_frequency,
+    dominant_frequencies,
     fuse_rows,
     generate,
     run_pipeline,
@@ -38,13 +38,13 @@ def select(x, f_r, sigma, fs=FS, L=100, k=10):
 class TestDominantFrequency:
     def test_single_tone(self):
         t = np.arange(300) / FS
-        f = dominant_frequency(np.sin(2 * np.pi * 1.2 * t), FS)
+        f = dominant_frequencies(np.sin(2 * np.pi * 1.2 * t), FS, PULSE_BAND)
         assert abs(f - 1.2) <= 0.01
 
     def test_band_restriction_wins(self):
         t = np.arange(600) / FS
         x = 10 * np.sin(2 * np.pi * 0.3 * t) + np.sin(2 * np.pi * 1.0 * t)
-        assert abs(dominant_frequency(x, FS) - 1.0) <= 0.01
+        assert abs(dominant_frequencies(x, FS, PULSE_BAND) - 1.0) <= 0.01
 
     def test_two_tone_against_dense_dft(self):
         t = np.arange(450) / FS
@@ -53,18 +53,18 @@ class TestDominantFrequency:
         grid = np.arange(0.7, 4.0, 0.001)
         mags = [abs(np.sum(x * np.exp(-2j * np.pi * f * t))) for f in grid]
         oracle = grid[int(np.argmax(mags))]
-        got = dominant_frequency(x, FS)
+        got = dominant_frequencies(x, FS, PULSE_BAND)
         assert abs(oracle - 1.1) < 0.01
         assert abs(got - oracle) < 0.02
 
     def test_zero_signal(self):
         with pytest.raises(ZeroSignal):
-            dominant_frequency(np.zeros(300), FS)
+            dominant_frequencies(np.zeros(300), FS, PULSE_BAND)
 
     def test_resolution_from_padding(self):
         # frequency grid spacing must be at most fs/8192
         t = np.arange(300) / FS
-        f = dominant_frequency(np.sin(2 * np.pi * 1.23 * t), FS)
+        f = dominant_frequencies(np.sin(2 * np.pi * 1.23 * t), FS, PULSE_BAND)
         assert abs(f - 1.23) <= FS / 8192 + 1e-9
 
 
@@ -210,7 +210,7 @@ class TestSelectCandidates:
         t = np.arange(300) / FS
         x = np.sin(2 * np.pi * 1.2 * t) + 0.5 * rng.normal(size=300)
         comps, freqs, _, _ = select(x, 1.2, 0.05)
-        expected = [dominant_frequency(c, FS, band=(0.05, FS / 2)) for c in comps]
+        expected = [dominant_frequencies(c, FS, band=(0.05, FS / 2)) for c in comps]
         assert freqs.tolist() == expected
 
     def test_fallback_returns_nearest(self):
@@ -227,7 +227,7 @@ class TestSelectCandidates:
         fs = 32.0
         t = np.arange(300) / fs
         comps = np.array([[np.sin(2 * np.pi * f * t) for f in tones]])
-        first, second = (dominant_frequency(c, fs, band=(0.05, fs / 2)) for c in comps[0])
+        first, second = (dominant_frequencies(c, fs, band=(0.05, fs / 2)) for c in comps[0])
         f_r = (first + second) / 2
         assert abs(first - f_r) == abs(second - f_r) > 3 * 0.01
         freqs, accepted, fallback = select_rows(comps, np.array([[2.0, 1.0]]), fs,

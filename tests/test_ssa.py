@@ -5,11 +5,12 @@ from scipy.linalg import hankel
 from lowlight_rppg import (
     decompose_rows,
     diagonal_average,
-    dominant_frequency,
+    dominant_frequencies,
     hankel_embed,
     svd_components,
 )
 from lowlight_rppg.errors import InvalidWindowLength
+from lowlight_rppg.preprocess import PULSE_BAND
 from lowlight_rppg.ssa import default_window_length
 
 
@@ -215,7 +216,7 @@ class TestDecompose:
         # resolution fs/T, regardless of zero-padding
         bin_width = self.fs / 600
         for comp in components[:4]:
-            f = dominant_frequency(comp, self.fs)
+            f = dominant_frequencies(comp, self.fs, PULSE_BAND)
             assert min(abs(f - 1.2), abs(f - 2.4)) <= bin_width + 1e-9
 
     def test_full_reconstruction_identity(self):

@@ -4,13 +4,14 @@ import pytest
 from lowlight_rppg import (
     SynthConfig,
     attenuate,
-    dominant_frequency,
+    dominant_frequencies,
     generate,
     illumination_sweep,
     snr,
 )
 from lowlight_rppg.errors import ConfigError
 from lowlight_rppg.metrics import spectrum
+from lowlight_rppg.preprocess import PULSE_BAND
 from lowlight_rppg.synth import MAX_SAMPLES
 
 FS = 30.0
@@ -19,7 +20,7 @@ FS = 30.0
 class TestGenerate:
     def test_clean_tone(self):
         trace = generate(SynthConfig(hr_bpm=72.0, noise_rms=(0.0, 0.0, 0.0)))
-        assert abs(dominant_frequency(trace.green(), FS) - 1.2) <= 0.01
+        assert abs(dominant_frequencies(trace.green(), FS, PULSE_BAND) - 1.2) <= 0.01
 
     def test_deterministic(self):
         cfg = SynthConfig(hr_bpm=80.0, noise_rms=(0.5, 0.5, 0.5), seed=42)
