@@ -100,9 +100,17 @@ def _check_count(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """ConfigError unless ``value`` is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Pipeline settings; out-of-range values raise ConfigError here.
+    """Pipeline settings; out-of-range values, and values of the wrong
+    type (a bool or a string where a number belongs), raise ConfigError
+    here.
 
     ``band`` is the pulse band in Hz: it sets the bandpass, the range
     searched for the reference HR and the band of the spectral mask.  Its
@@ -122,14 +130,18 @@ class PipelineConfig:
         positive = {"window_s": self.window_s, "step_s": self.step_s,
                     "sigma_init": self.sigma_init}
         for name, value in positive.items():
+            _check_real(name, value)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        _check_real("lam", self.lam)
         check_lambda(self.lam)
         _check_count("sec_chn", self.sec_chn, 1)
         if self.ssa_window is not None:
             _check_count("ssa_window", self.ssa_window, 2)
         if np.shape(self.band) != (2,):
             raise ConfigError(f"band must be a (low, high) pair, got {self.band!r}")
+        for edge in self.band:
+            _check_real("band edge", edge)
         low, high = self.band
         if not (np.isfinite(high) and 0 < low < high):
             raise ConfigError(f"band needs 0 < low < high, got [{low}, {high}]")

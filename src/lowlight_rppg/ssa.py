@@ -33,17 +33,39 @@ def hankel_embed(series, L: int) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(x, x.size - L + 1)[:L])
 
 
-def _top_svd(X, k: int):
+def _top_svd(X, k: int, gram=None):
     """Top-``k`` SVD ``(u, s, vt)`` of an L x K matrix.
 
-    The top-``k`` eigenvectors Q of the L x L lag covariance X X' span the
-    leading left singular subspace; the exact SVD of the small k x K
-    projection Q'X then gives the triples, with u = Q u_b.
+    The top-``k`` eigenvectors Q of the L x L lag covariance X X' (written
+    into ``gram`` when given) span the leading left singular subspace; the
+    exact SVD of the small k x K projection Q'X then gives the triples,
+    with u = Q u_b.
     """
-    _, vecs = np.linalg.eigh(X @ X.T)
+    _, vecs = np.linalg.eigh(np.matmul(X, X.T, out=gram))
     Q = vecs[:, ::-1][:, :k]  # eigh sorts ascending
     ub, s, vt = np.linalg.svd(Q.T @ X, full_matrices=False)
     return Q @ ub, s, vt
+
+
+def _leading_triples(X, k: int | None, exponent: int, gram=None):
+    """Kept leading triples ``(s, u, vt)`` of ``X * 2**exponent``, descending
+    sigma: ``s[p]`` pairs with column p of ``u`` and row p of ``vt``.
+
+    X must be finite and already divided by ``2**exponent``
+    (``pow2_scaled``).  This is the one SSA core behind ``svd_components``
+    and ``decompose_rows``; ``gram`` is an L x L buffer for the top-``k``
+    route's lag covariance.
+    """
+    try:
+        if k is not None and X.ndim == 2 and 2 * k <= X.shape[0] <= X.shape[1]:
+            u, s, vt = _top_svd(X, k, gram)
+        else:
+            u, s, vt = np.linalg.svd(X, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionFailure(str(exc)) from exc
+    s = np.ldexp(s, exponent)
+    keep = np.flatnonzero(s > SV_CUTOFF * s[:1])[:k]  # empty if s is empty or all zero
+    return s[keep], u[:, keep], vt[keep]
 
 
 def svd_components(X, k: int | None = None) -> list[tuple[float, np.ndarray, np.ndarray]]:
@@ -75,18 +97,8 @@ def svd_components(X, k: int | None = None) -> list[tuple[float, np.ndarray, np.
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("svd_components input contains NaN or inf")
     X, exponent = pow2_scaled(X, axis=None)
-    try:
-        if k is not None and X.ndim == 2 and 2 * k <= X.shape[0] <= X.shape[1]:
-            u, s, vt = _top_svd(X, k)
-        else:
-            u, s, vt = np.linalg.svd(X, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailure(str(exc)) from exc
-    s = np.ldexp(s, exponent.item())
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    keep = np.flatnonzero(s > SV_CUTOFF * s[0])[:k]
-    return [(s[i], u[:, i], vt[i]) for i in keep]
+    s, u, vt = _leading_triples(X, k, exponent.item())
+    return [(s[p], u[:, p], vt[p]) for p in range(len(s))]
 
 
 def diagonal_average(Xi) -> np.ndarray:
@@ -108,24 +120,34 @@ def decompose_rows(rows, L: int, k: int):
     """Top ``k`` elementary reconstructed components of each row of an
     ``(n, T)`` array: the diagonal averages of the leading rank-1 terms
     sigma_p u_p v_p' of the row's L x K Hankel matrix (see
-    ``svd_components``), descending sigma.
+    ``svd_components``, whose core each row goes through), descending sigma.
 
     Returns components and singular values of shapes ``(n, min(k, L), T)``
     and ``(n, min(k, L))`` that are zero past a row's kept triples; one
-    series is the call on ``series[None]``.  The SVD runs row by row; the
-    components, convolutions of sigma_p u_p with v_p over the anti-diagonal
-    counts, come from one ``rfft``/``irfft`` pair of 2^ceil(log2 T) points.
+    series is the call on ``series[None]``.  The rows are checked and
+    divided by their power of two (``pow2_scaled``) once: a row's Hankel
+    matrix holds exactly its T samples, so the row's exponent is the
+    matrix's.  The SVD then runs row by row on one reused Hankel buffer
+    and lag covariance buffer; the components, convolutions of sigma_p u_p
+    with v_p over the anti-diagonal counts, come from one
+    ``rfft``/``irfft`` pair of 2^ceil(log2 T) points.
     """
     rows = np.asarray(rows, dtype=float)
     n, T = rows.shape
+    validate_window_length(L, T)
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteInput("decompose_rows input contains NaN or inf")
+    rows, exponents = pow2_scaled(rows)
     K = T - L + 1
     slots = min(k, L)
     su, v, sv = np.zeros((n, slots, L)), np.zeros((n, slots, K)), np.zeros((n, slots))
-    for i, row in enumerate(rows):
-        triples = svd_components(hankel_embed(row, L), k)[:k]
-        if triples:
-            s, u_i, v_i = map(np.array, zip(*triples))
-            sv[i, :len(s)], su[i, :len(s)], v[i, :len(s)] = s, s[:, None] * u_i, v_i
+    X, gram = np.empty((L, K)), np.empty((L, L))
+    hankels = sliding_window_view(rows, K, axis=-1)  # (n, L, K) views
+    for i, exponent in enumerate(exponents[:, 0].tolist()):
+        np.copyto(X, hankels[i])
+        s, u, vt = _leading_triples(X, k, exponent, gram)
+        sv[i, :len(s)], v[i, :len(s)] = s, vt
+        np.multiply(s[:, None], u.T, out=su[i, :len(s)])
     nfft = 1 << (T - 1).bit_length()
     conv = np.fft.irfft(np.fft.rfft(su, nfft) * np.fft.rfft(v, nfft), nfft)[..., :T]
     return conv / np.convolve(np.ones(L), np.ones(K)), sv

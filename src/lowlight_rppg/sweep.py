@@ -16,26 +16,23 @@ from .errors import ConfigError
 from .hr import sliding_hr
 from .reconstruct import run_pipeline
 
+METHODS = ("proposed", "green-baseline")
 
-def _sweep_one(cfg, pipe_config):
-    """Metrics for both methods on one attenuated synthetic config."""
+
+def _score(cfg, method, pipe_config):
+    """``(snr_db, mae_bpm, rmse_bpm)`` of one method on one attenuated
+    synthetic config."""
     trace = synth.generate(cfg)
-    hr_ref = cfg.hr_bpm
-    pulse = run_pipeline(trace, pipe_config)
-    signals = {
-        "proposed": pulse.samples,
-        "green-baseline": baseline.green_baseline_signal(
-            trace, lam=pipe_config.lam, band=pipe_config.band),
-    }
-    rows = {}
-    for method, sig in signals.items():
-        est = [bpm for _, bpm in sliding_hr(sig, trace.fs, win_s=pipe_config.window_s,
-                                            step_s=pipe_config.step_s,
-                                            band=pipe_config.band)]
-        ref = [hr_ref] * len(est)
-        rows[method] = (metrics.cap_snr(metrics.snr(sig, trace.fs, hr_ref)),
-                        metrics.mae(est, ref), metrics.rmse(est, ref))
-    return rows
+    if method == "proposed":
+        sig = run_pipeline(trace, pipe_config).samples
+    else:
+        sig = baseline.green_baseline_signal(trace, lam=pipe_config.lam,
+                                             band=pipe_config.band)
+    est = [bpm for _, bpm in sliding_hr(sig, trace.fs, win_s=pipe_config.window_s,
+                                        step_s=pipe_config.step_s, band=pipe_config.band)]
+    ref = [cfg.hr_bpm] * len(est)
+    return (metrics.cap_snr(metrics.snr(sig, trace.fs, cfg.hr_bpm)),
+            metrics.mae(est, ref), metrics.rmse(est, ref))
 
 
 def sweep_report(config, levels, pipe_config, n_seeds: int = 1,
@@ -43,25 +40,33 @@ def sweep_report(config, levels, pipe_config, n_seeds: int = 1,
     """One row per (level, method); metrics are medians over seeds.
 
     ``n_seeds`` and ``jobs`` must be at least 1, and every level is
-    checked (``synth.attenuate``), before any task starts.
+    checked (``synth.attenuate``), before any task starts.  One task
+    scores one method on one (level, seed) trace; every pipeline task is
+    queued before the shorter baseline tasks, so with ``jobs`` > 1 these
+    fill the workers that would otherwise wait for the last pipeline run
+    (longest first).  The rows do not depend on ``jobs``.
     """
     if n_seeds < 1 or jobs < 1:
         raise ConfigError(f"seeds and jobs must be >= 1, got {n_seeds} and {jobs}")
-    tasks = [synth.attenuate(dataclasses.replace(config, seed=config.seed + k), level)
-             for level in levels for k in range(n_seeds)]
+    cfgs = [synth.attenuate(dataclasses.replace(config, seed=config.seed + k), level)
+            for level in levels for k in range(n_seeds)]
+    tasks = [(cfg, method) for method in METHODS for cfg in cfgs]
+
+    def score(task):
+        return _score(*task, pipe_config)
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda cfg: _sweep_one(cfg, pipe_config), tasks))
+            results = list(pool.map(score, tasks))
     else:
-        results = [_sweep_one(cfg, pipe_config) for cfg in tasks]
+        results = [score(task) for task in tasks]
 
     rows = []
     for i, level in enumerate(levels):
-        per_level = results[i * n_seeds:(i + 1) * n_seeds]
-        for method in ("proposed", "green-baseline"):
-            snr_db = statistics.median(r[method][0] for r in per_level)
-            mae_bpm = statistics.median(r[method][1] for r in per_level)
-            rmse_bpm = statistics.median(r[method][2] for r in per_level)
+        for m, method in enumerate(METHODS):
+            start = m * len(cfgs) + i * n_seeds
+            snr_db, mae_bpm, rmse_bpm = (statistics.median(col) for col in
+                                         zip(*results[start:start + n_seeds]))
             rows.append({"level": level, "method": method, "snr_db": snr_db,
                          "mae_bpm": mae_bpm, "rmse_bpm": rmse_bpm})
     return rows

@@ -466,6 +466,19 @@ class TestSweep:
         assert made == [] and not report.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_rows_do_not_depend_on_jobs(self):
+        # one task per (level, seed, method), pipeline tasks queued first;
+        # the rows come back in (level, method) order whatever the pool
+        from lowlight_rppg.sweep import sweep_report
+        levels = (1.0, 0.25, 0.05)
+        config = SynthConfig(hr_bpm=84.0, duration_s=20.0, noise_rms=(0.5, 0.5, 0.5),
+                             seed=4)
+        reports = [sweep_report(config, levels, PipelineConfig(), n_seeds=2, jobs=jobs)
+                   for jobs in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+        assert [(r["level"], r["method"]) for r in reports[0]] == \
+            [(level, method) for level in levels for method in ("proposed", "green-baseline")]
+
     def test_cli_sweep_report_is_the_library_function(self):
         from lowlight_rppg import cli, sweep
         assert cli.sweep_report is sweep.sweep_report

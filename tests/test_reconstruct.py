@@ -206,9 +206,14 @@ class TestRunPipeline:
                                      drift_amp=2.0, noise_rms=(1.0, 1.0, 1.0),
                                      seed=21))
         pulse = run_pipeline(trace)
-        full_svd = ssa.svd_components
-        monkeypatch.setattr(ssa, "svd_components", lambda X, k=None: full_svd(X))
+
+        def full_svd(X, k, gram=None):
+            u, s, vt = np.linalg.svd(X, full_matrices=False)
+            return u[:, :k], s[:k], vt[:k]
+
+        monkeypatch.setattr(ssa, "_top_svd", full_svd)
         full = run_pipeline(trace)
+        assert full.samples.tobytes() != pulse.samples.tobytes()  # the patch is reached
         fields = lambda r: (r.f_r, r.sigma_fr, r.n_accepted, r.fallback, r.emitted)
         assert [fields(r) for r in pulse.window_flags] == \
             [fields(r) for r in full.window_flags]
@@ -247,6 +252,10 @@ class TestRunPipeline:
         ("band", (4.0, 0.7)), ("band", (0.7, float("inf"))), ("lam", 1e8),
         # wrong types: each used to reach run_pipeline, or unpack, unchecked
         ("sec_chn", 2.5), ("sec_chn", True), ("ssa_window", 50.5), ("band", (0.7, 2.0, 4.0)),
+        # a float field of the wrong type raised TypeError, and a bool was a number
+        ("lam", "100"), ("sigma_init", None), ("band", ("0.7", "4")), ("step_s", "1"),
+        ("window_s", True), ("step_s", True), ("sigma_init", True), ("lam", True),
+        ("band", (0.5, True)), ("band", (True, 4.0)),
     ])
     def test_config_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ConfigError):

@@ -9,7 +9,7 @@ from lowlight_rppg import (
     hankel_embed,
     svd_components,
 )
-from lowlight_rppg.errors import InvalidWindowLength
+from lowlight_rppg.errors import InvalidWindowLength, NonFiniteInput
 from lowlight_rppg.preprocess import PULSE_BAND
 from lowlight_rppg.ssa import default_window_length
 
@@ -272,6 +272,32 @@ class TestDecompose:
                 assert row_sv[p] == s
                 assert np.max(np.abs(row_comps[p] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
             assert not np.any(row_comps[len(triples):]) and not np.any(row_sv[len(triples):])
+
+
+    @pytest.mark.parametrize("L, k", [(100, 10), (40, 30)], ids=["top-k", "full-svd"])
+    def test_stack_equals_one_row_calls(self, L, k):
+        # every row reuses one Hankel and one lag covariance buffer; a pure
+        # tone (2 of k slots kept) before full-rank rows, a zero row and
+        # rows at extreme scales must carry nothing into the next row
+        T = 3 * L
+        t = np.arange(T) / self.fs
+        rng = np.random.default_rng(L + k)
+        rows = np.array([np.sin(2 * np.pi * 1.2 * t), rng.normal(size=T), np.zeros(T),
+                         1e300 * rng.normal(size=T), np.sin(2 * np.pi * 2.0 * t),
+                         1e-300 * rng.normal(size=T), rng.normal(size=T)])
+        comps, sv = decompose_rows(rows, L, k)
+        singles = [decompose_rows(row[None], L, k) for row in rows]
+        assert np.array_equal(comps, np.concatenate([c for c, _ in singles]))
+        assert np.array_equal(sv, np.concatenate([s for _, s in singles]))
+        assert [np.count_nonzero(row_sv) for row_sv in sv] == [2, k, 0, k, 2, k, k]
+
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_raises(self, row, bad):
+        rows = np.random.default_rng(8).normal(size=(3, 90))
+        rows[row, 45] = bad
+        with pytest.raises(NonFiniteInput):
+            decompose_rows(rows, 30, 10)
 
 
 def test_default_window_length():
