@@ -98,7 +98,7 @@ def svd_components(X, k: int | None = None) -> list[tuple[float, np.ndarray, np.
         raise NonFiniteInput("svd_components input contains NaN or inf")
     X, exponent = pow2_scaled(X, axis=None)
     s, u, vt = _leading_triples(X, k, exponent.item())
-    return [(s[p], u[:, p], vt[p]) for p in range(len(s))]
+    return list(zip(s, u.T, vt))
 
 
 def diagonal_average(Xi) -> np.ndarray:
