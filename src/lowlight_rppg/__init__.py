@@ -30,14 +30,14 @@ from .reconstruct import (
     run_pipeline,
 )
 from .selection import MaskReason, select_rows, spectral_mask
-from .ssa import decompose_rows, diagonal_average, hankel_embed, svd_components
+from .ssa import decompose_rows
 
 __version__ = "0.1.0"
 
 _EVALUATION = {  # module -> the names it exports here
     "baseline": ("green_baseline_signal", "green_baseline_hr"),
     "metrics": ("EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate"),
-    "synth": ("SynthConfig", "attenuate", "generate", "illumination_sweep"),
+    "synth": ("SynthConfig", "attenuate", "generate"),
     "sweep": (),
 }
 
@@ -55,12 +55,11 @@ __all__ = [
     "RawTrace", "RoiFrame", "spatial_average", "assemble_trace",
     "load_trace_csv", "save_trace_csv", "load_roi_frames",
     "detrend", "bandpass",
-    "hankel_embed", "svd_components", "diagonal_average", "decompose_rows",
-    "MaskReason", "spectral_mask", "select_rows",
+    "decompose_rows", "MaskReason", "spectral_mask", "select_rows",
     "PulseWave", "PipelineConfig", "fuse_rows", "overlap_add_rows", "run_pipeline",
     "HrEstimate", "estimate_hr", "estimate_hr_series", "sliding_hr",
     "dominant_frequencies", "spectral_peak",
     "EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate",
-    "SynthConfig", "attenuate", "generate", "illumination_sweep",
+    "SynthConfig", "attenuate", "generate",
     "green_baseline_signal", "green_baseline_hr",
 ]

@@ -96,10 +96,6 @@ def pulse_from_rows(headers, rows: np.ndarray) -> PulseWave:
     return PulseWave(samples=rows[:, 1], fs=fs)
 
 
-def load_pulse_csv(path) -> PulseWave:
-    return pulse_from_rows(*read_csv(path))
-
-
 def load_reference_csv(path) -> list[tuple[float, float]]:
     """Reference HR CSV: ``t_seconds,bpm`` rows, ``#`` comments allowed.
     A NaN or infinite value is a ParseError naming its line."""

@@ -162,9 +162,12 @@ def sliding_hr(samples, fs: float, win_s: float = 10.0, step_s: float = 1.0,
                band: tuple[float, float] = PULSE_BAND) -> list[tuple[float, float]]:
     """Per-window HR estimates as (window center time, bpm) pairs.
 
-    Each window is estimated as by ``estimate_hr_series``; the window
-    stack is searched by ``dominant_frequencies`` in blocks of
-    ``_BLOCK_ROWS`` rows.
+    Windows are ``round(win_s * fs)`` samples every ``round(step_s * fs)``;
+    a window's time is the centre of the samples it searched,
+    ``(i * step + win / 2) / fs`` in seconds from the first sample, as in
+    ``metrics.spectrogram``.  Each window is estimated as by
+    ``estimate_hr_series``; the window stack is searched by
+    ``dominant_frequencies`` in blocks of ``_BLOCK_ROWS`` rows.
     """
     x = np.asarray(samples, dtype=float)
     win = sample_count(win_s, fs)
@@ -177,4 +180,5 @@ def sliding_hr(samples, fs: float, win_s: float = 10.0, step_s: float = 1.0,
     peaks = np.concatenate([dominant_frequencies(windows[b:b + _BLOCK_ROWS], fs, band,
                                                  _HR_MIN_NFFT)
                             for b in range(0, len(windows), _BLOCK_ROWS)])
-    return [(i * step / fs + win_s / 2.0, 60.0 * float(f)) for i, f in enumerate(peaks)]
+    times = (win / 2 + step * np.arange(len(peaks))) / fs
+    return list(zip(times.tolist(), (60.0 * peaks).tolist()))

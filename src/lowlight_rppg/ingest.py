@@ -47,7 +47,6 @@ class RawTrace:
 
     samples: np.ndarray
     fs: float
-    t0: float = 0.0
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -62,10 +61,6 @@ class RawTrace:
     def __len__(self):
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.fs
-
     def green(self) -> np.ndarray:
         return self.samples[:, 1]
 
@@ -75,7 +70,7 @@ def spatial_average(frame: RoiFrame) -> np.ndarray:
     return frame.pixels.mean(axis=0)
 
 
-def assemble_trace(frames, fs: float, t0: float = 0.0) -> RawTrace:
+def assemble_trace(frames, fs: float) -> RawTrace:
     """Concatenate per-frame spatial means into a (T, 3) raw trace.
 
     Frames must be sorted by index with no duplicates or gaps.  Gaps are
@@ -84,16 +79,15 @@ def assemble_trace(frames, fs: float, t0: float = 0.0) -> RawTrace:
     """
     frames = list(frames)
     indices = [f.frame_index for f in frames]
+    gaps = []
     for a, b in zip(indices, indices[1:]):
         if b <= a:
             raise NonMonotonicFrames(f"frame index {b} follows {a}")
-    gaps = []
-    for a, b in zip(indices, indices[1:]):
         gaps.extend(range(a + 1, b))
     if gaps:
         raise MissingFrames(gaps)
     samples = np.array([spatial_average(f) for f in frames])
-    return RawTrace(samples=samples, fs=fs, t0=t0)
+    return RawTrace(samples=samples, fs=fs)
 
 
 def read_csv(path) -> tuple[list[tuple[int, str, str]], np.ndarray]:
@@ -141,23 +135,17 @@ def read_csv(path) -> tuple[list[tuple[int, str, str]], np.ndarray]:
     return headers, rows
 
 
-def header_float(headers, key: str, default=None):
-    """The last ``key`` header as a float, else ``default``; InvalidHeader
-    names the line of a ``key`` header that is not a number."""
-    value = default
-    for lineno, k, text in headers:
-        if k == key:
-            try:
-                value = float(text)
-            except ValueError:
-                raise InvalidHeader(f"line {lineno}: bad {key} value {text!r}") from None
-    return value
-
-
 def header_fs(headers) -> float:
-    """The ``fs`` header; InvalidHeader if it is missing or not a
-    positive, finite number."""
-    fs = header_float(headers, "fs")
+    """The last ``fs`` header; InvalidHeader if it is missing or not a
+    positive, finite number, naming the line of one that is not a number.
+    Other keys are skipped."""
+    fs = None
+    for lineno, key, text in headers:
+        if key == "fs":
+            try:
+                fs = float(text)
+            except ValueError:
+                raise InvalidHeader(f"line {lineno}: bad fs value {text!r}") from None
     if fs is None or not (np.isfinite(fs) and fs > 0):
         raise InvalidHeader("missing '# fs=' header, or fs not positive and finite")
     return fs
@@ -175,14 +163,16 @@ def trace_from_rows(headers, rows: np.ndarray) -> RawTrace:
     check_width(rows, 4)
     if len(rows) < 2:
         raise ParseError("trace must contain at least 2 rows")
-    return RawTrace(samples=rows[:, 1:], fs=fs, t0=header_float(headers, "t0", 0.0))
+    return RawTrace(samples=rows[:, 1:], fs=fs)
 
 
 def load_trace_csv(path) -> RawTrace:
     """Load a raw trace from CSV.
 
-    Format: first line ``# fs=<float>``, optional ``# t0=<float>``, then
-    ``frame_index,r,g,b`` rows.
+    Format: first line ``# fs=<float>``, then ``frame_index,r,g,b`` rows.
+    Other ``# key=value`` headers (an old ``# t0=`` among them) are
+    skipped: every time the package reports is in seconds from the first
+    sample.
     """
     return trace_from_rows(*read_csv(path))
 
@@ -190,14 +180,13 @@ def load_trace_csv(path) -> RawTrace:
 def save_trace_csv(trace: RawTrace, path) -> None:
     """Write a raw trace in the load_trace_csv format (lossless via repr).
 
-    A numpy scalar ``fs`` or ``t0`` is written as the Python number it
-    holds, so ``# fs=30`` stays ``# fs=30`` for an int and never becomes
+    A numpy scalar ``fs`` is written as the Python number it holds, so
+    ``# fs=30`` stays ``# fs=30`` for an int and never becomes
     ``# fs=np.float64(30.0)``."""
-    fs, t0 = (v.item() if isinstance(v, np.generic) else v for v in (trace.fs, trace.t0))
-    head = f"# fs={fs!r}\n" + (f"# t0={t0!r}\n" if t0 else "")
+    fs = trace.fs.item() if isinstance(trace.fs, np.generic) else trace.fs
+    rows = (f"{i},{r!r},{g!r},{b!r}\n" for i, (r, g, b) in enumerate(trace.samples.tolist()))
     with open(path, "w") as fh:
-        fh.write(head + "".join(f"{i},{r!r},{g!r},{b!r}\n"
-                                for i, (r, g, b) in enumerate(trace.samples.tolist())))
+        fh.write(f"# fs={fs!r}\n" + "".join(rows))
 
 
 _FRAME_SUFFIX = re.compile(r"_(\d+)(?:\.[^.]*)?$")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, PairingError, SeriesTooShort
+from .errors import ConfigError, PairingError, SeriesTooShort, ZeroSignal
 from .preprocess import PULSE_BAND, pow2_scaled, sample_count
 from .reconstruct import periodic_hann
 
@@ -23,7 +23,9 @@ def snr(series, fs: float, hr_ref_bpm: float) -> float:
     +-0.1 Hz of the reference HR frequency and +-0.2 Hz of its first
     harmonic (both clipped to [0.7, 4] Hz), and P_out is the remaining
     power inside [0.7, 4] Hz.  Returns +inf when the residual power is
-    exactly zero; reports cap that at SNR_CAP_DB.
+    exactly zero (a pure tone); reports cap that at SNR_CAP_DB.  A series
+    with no power in [0.7, 4] Hz, such as a constant one, has no SNR
+    (``ZeroSignal``) rather than the best possible one.
 
     The [0.7, 4] Hz band is part of the metric's definition and does not
     follow a configured pulse band, so SNR values stay comparable across
@@ -40,9 +42,9 @@ def snr(series, fs: float, hr_ref_bpm: float) -> float:
           (np.abs(freqs - 2.0 * f_ref) <= HARM_HALFWIDTH_HZ)
     p_in = power[in_band & sig].sum()
     p_out = power[in_band & ~sig].sum()
-    if p_out == 0.0:
-        return np.inf
-    return float(10.0 * np.log10(p_in / p_out))
+    if p_in == p_out == 0.0:
+        raise ZeroSignal("series has no power in the [0.7, 4] Hz band")
+    return float(10.0 * np.log10(p_in / p_out)) if p_out else np.inf
 
 
 def cap_snr(value: float) -> float:

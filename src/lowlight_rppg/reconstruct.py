@@ -90,9 +90,6 @@ class PulseWave:
     fs: float
     window_flags: tuple[WindowRecord, ...] = ()
 
-    def __len__(self):
-        return self.samples.shape[0]
-
 
 def _check_count(name: str, value, least: int) -> None:
     """ConfigError unless ``value`` is an integer, not a bool, >= ``least``."""

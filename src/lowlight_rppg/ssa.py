@@ -26,13 +26,6 @@ def default_window_length(T: int, fs: float) -> int:
     return int(np.clip(T // 3, min(lo, hi), hi))
 
 
-def hankel_embed(series, L: int) -> np.ndarray:
-    """L x K trajectory matrix, X[i, j] = series[i + j], K = T - L + 1."""
-    x = np.asarray(series, dtype=float)
-    validate_window_length(L, x.size)
-    return np.ascontiguousarray(sliding_window_view(x, x.size - L + 1)[:L])
-
-
 def _top_svd(X, k: int, gram=None):
     """Top-``k`` SVD ``(u, s, vt)`` of an L x K matrix.
 
@@ -51,10 +44,28 @@ def _leading_triples(X, k: int | None, exponent: int, gram=None):
     """Kept leading triples ``(s, u, vt)`` of ``X * 2**exponent``, descending
     sigma: ``s[p]`` pairs with column p of ``u`` and row p of ``vt``.
 
-    X must be finite and already divided by ``2**exponent``
-    (``pow2_scaled``).  This is the one SSA core behind ``svd_components``
-    and ``decompose_rows``; ``gram`` is an L x L buffer for the top-``k``
-    route's lag covariance.
+    The one SSA core, run on every row by ``decompose_rows``.  X must be
+    finite and already divided by ``2**exponent``, a power of two near
+    its max ``|X|`` (``pow2_scaled``), so X X' neither overflows nor
+    underflows; for normal-range X the triples are those of X itself.
+
+    With ``k`` at most half of L, the row count, and L <= K, only the
+    leading ``k`` triples are computed (``_top_svd``; ``gram`` is an
+    L x L buffer for its lag covariance X X').  Forming X X'
+    squares the condition number, so ``eigh`` separates only directions
+    with sigma above about sqrt(eps) * sigma_max (1.5e-8 relative); those
+    triples come out as accurate as an SVD of X itself (about
+    eps * sigma_max), because their singular values come from the SVD of
+    Q'X, not from the eigenvalues.  Triples below that level come from a
+    mixed subspace, so they are not the true triples, but their rank-k sum
+    still differs from the true one by about 1e-8 * sigma_max at most.
+    The route saves work only when ``k`` is small against L (it costs more
+    than a full SVD above about 0.6 L), so larger ``k``, ``k`` None and
+    tall X (L > K, which the Hankel matrices of ``decompose_rows`` never
+    are) go to ``np.linalg.svd``.
+
+    Triples with sigma below ``SV_CUTOFF`` times the largest singular
+    value are dropped, so fewer than ``k`` may be returned.
     """
     try:
         if k is not None and X.ndim == 2 and 2 * k <= X.shape[0] <= X.shape[1]:
@@ -68,59 +79,11 @@ def _leading_triples(X, k: int | None, exponent: int, gram=None):
     return s[keep], u[:, keep], vt[keep]
 
 
-def svd_components(X, k: int | None = None) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Leading singular triples (sigma_i, u_i, v_i) of X, descending sigma.
-
-    With ``k`` at most half of L, the row count, and L <= K, only the
-    leading ``k`` triples are computed: ``eigh`` of the L x L lag
-    covariance X X' gives an orthonormal basis Q of the leading left
-    singular subspace, and the exact SVD of the k x K projection Q'X gives
-    the triples.  Forming X X' squares the condition number, so ``eigh``
-    separates only directions with sigma above about sqrt(eps) *
-    sigma_max (1.5e-8 relative); those triples come out as accurate as an
-    SVD of X itself (about eps * sigma_max), because their singular values
-    come from the SVD of Q'X, not from the eigenvalues.  Triples below
-    that level come from a mixed subspace, so they are not the true
-    triples, but their rank-k sum still differs from the true one by
-    about 1e-8 * sigma_max at most.  The route saves work only when ``k``
-    is small against L (it costs more than a full SVD above about
-    0.6 L), so larger ``k``, ``k`` None and tall X (L > K, which the
-    Hankel matrices of ``decompose_rows`` never are) go to ``np.linalg.svd``.
-
-    Triples with sigma below ``SV_CUTOFF`` times the largest singular
-    value are dropped, so fewer than ``k`` may be returned.  Both routes
-    factor X divided by a power of two near its max ``|X|``
-    (``pow2_scaled``) and scale sigma back, so X X' neither overflows nor
-    underflows; for normal-range X the triples are unchanged.
-    """
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteInput("svd_components input contains NaN or inf")
-    X, exponent = pow2_scaled(X, axis=None)
-    s, u, vt = _leading_triples(X, k, exponent.item())
-    return list(zip(s, u.T, vt))
-
-
-def diagonal_average(Xi) -> np.ndarray:
-    """Average the anti-diagonals of an L x K matrix into a length
-    L + K - 1 series (orthogonal projection onto Hankel matrices
-    followed by de-embedding)."""
-    Xi = np.asarray(Xi, dtype=float)
-    if not np.all(np.isfinite(Xi)):
-        raise NonFiniteInput("diagonal_average input contains NaN or inf")
-    L, K = Xi.shape
-    out = np.zeros(L + K - 1)
-    for i in range(L):
-        out[i:i + K] += Xi[i]
-    counts = np.convolve(np.ones(L), np.ones(K))
-    return out / counts
-
-
 def decompose_rows(rows, L: int, k: int):
     """Top ``k`` elementary reconstructed components of each row of an
     ``(n, T)`` array: the diagonal averages of the leading rank-1 terms
     sigma_p u_p v_p' of the row's L x K Hankel matrix (see
-    ``svd_components``, whose core each row goes through), descending sigma.
+    ``_leading_triples``, which each row goes through), descending sigma.
 
     Returns components and singular values of shapes ``(n, min(k, L), T)``
     and ``(n, min(k, L))`` that are zero past a row's kept triples; one

@@ -33,14 +33,16 @@ MAX_SAMPLES = 1_000_000
 
 
 def _finite(name, value) -> float:
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Signal-model settings; out-of-range values raise ConfigError.
+    """Signal-model settings; out-of-range values, and values of the wrong
+    type (a bool or a string where a number belongs), raise ConfigError.
 
     The trace has ``round(fs * duration_s)`` samples, at most
     ``MAX_SAMPLES``.
@@ -65,7 +67,8 @@ class SynthConfig:
         for name in ("hr_bpm", "fs", "duration_s", "harmonic_ratio",
                      "quantization_step", "drift_amp"):
             _finite(name, getattr(self, name))
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral)
+                                               and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         f = self.hr_bpm / 60.0
         if not (PULSE_BAND[0] <= f <= PULSE_BAND[1]):
@@ -95,9 +98,6 @@ class SynthConfig:
             return cls(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
 
 
 def generate(config: SynthConfig) -> RawTrace:
@@ -143,13 +143,3 @@ def attenuate(base: SynthConfig, level: float) -> SynthConfig:
         raise ConfigError(f"attenuation factor {level} outside (0, 1]")
     return dataclasses.replace(base, pulse_amp=tuple(level * x for x in base.pulse_amp))
 
-
-def illumination_sweep(base: SynthConfig, levels) -> list[RawTrace]:
-    """Traces with pulse amplitude scaled per attenuation level.
-
-    Every level is checked before any trace is made.  The same seed is
-    reused at every level, which makes level 1.0 identical to
-    generate(base) and keeps the noise realization shared across levels.
-    """
-    configs = [attenuate(base, a) for a in levels]
-    return [generate(cfg) for cfg in configs]

@@ -17,7 +17,6 @@ from lowlight_rppg import (
     SynthConfig,
     decompose_rows,
     detrend,
-    diagonal_average,
     estimate_hr,
     generate,
     overlap_add_rows,
@@ -26,6 +25,7 @@ from lowlight_rppg import (
     spectral_mask,
 )
 from lowlight_rppg.cli import main, sweep_report
+from oracles import diagonal_average
 
 FS = 30.0
 

@@ -12,9 +12,9 @@ import lowlight_rppg
 
 from lowlight_rppg import (PipelineConfig, PulseWave, RawTrace, SynthConfig, generate,
                            load_trace_csv, run_pipeline, save_trace_csv)
-from lowlight_rppg.cli import (_pipeline_config, _write_json, build_parser, load_pulse_csv,
-                               main, save_pulse_csv)
+from lowlight_rppg.cli import _pipeline_config, _write_json, build_parser, main, save_pulse_csv
 from lowlight_rppg.errors import ParseError, RppgError
+from oracles import load_pulse_csv
 
 
 @pytest.fixture
@@ -133,6 +133,23 @@ class TestExtract:
         assert sorted(f.name for f in tmp_path.glob("p*")) == [
             "p.csv", "p.hr.json", "p.windows.json"]
         assert len(load_pulse_csv(tmp_path / "p.csv").samples) == 300
+
+    def test_t0_header_is_skipped(self, tmp_path, clean_trace):
+        # times count from the first sample: a "# t0=" header, as older
+        # versions wrote one, changes no output and is not written back
+        fs_line, rest = clean_trace.read_text().split("\n", 1)
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text(f"{fs_line}\n# t0=100\n{rest}")
+        outputs = []
+        for path in (clean_trace, shifted):
+            out = tmp_path / f"{path.stem}-pulse.csv"
+            assert main(["extract", str(path), str(out)]) == 0
+            outputs.append([out.with_name(out.stem + ext).read_bytes()
+                            for ext in (".csv", ".windows.json", ".hr.json")])
+        assert outputs[0] == outputs[1]
+        resaved = tmp_path / "resaved.csv"
+        save_trace_csv(load_trace_csv(shifted), resaved)
+        assert resaved.read_bytes() == clean_trace.read_bytes()
 
     def test_processing_error_writes_no_file(self, tmp_path, clean_trace, monkeypatch):
         from lowlight_rppg import cli
@@ -375,6 +392,7 @@ class TestSynthCommand:
         '{"pulse_amp": 5}', '{"pulse_amp": [1.7e308, 1.7e308, 1.7e308]}',
         # over synth.MAX_SAMPLES; rejected before generate allocates
         '{"fs": 1e300}', '{"fs": 30, "duration_s": 1e12}',
+        '{"seed": true}', '{"drift_amp": true}', '{"noise_rms": [0, true, 0]}',
     ])
     def test_bad_config_value_exit_2_without_traceback(self, tmp_path, capsys, content):
         cfg = tmp_path / "bad.json"

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lowlight_rppg import PipelineConfig, load_trace_csv
-from lowlight_rppg.cli import _INPUT_ERRORS, load_pulse_csv, load_reference_csv, main
+from lowlight_rppg.cli import _INPUT_ERRORS, load_reference_csv, main
+from oracles import load_pulse_csv
 
 # capsys is read and cleared on every example, so it may be function-scoped
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None,

@@ -16,6 +16,7 @@ from lowlight_rppg import (
     select_rows,
     sliding_hr,
     spectral_peak,
+    spectrogram,
 )
 from lowlight_rppg.errors import ConfigError, SeriesTooShort, ZeroSignal
 
@@ -120,7 +121,7 @@ def test_spectral_peak_rows_match_single_series():
 def per_window_sliding_hr(x, fs, win_s=10.0, step_s=1.0):
     """sliding_hr one window at a time, as the reference for its batching."""
     win, step = int(round(win_s * fs)), int(round(step_s * fs))
-    return [(start / fs + win_s / 2.0,
+    return [((start + win / 2) / fs,
              estimate_hr_series(x[start:start + win], fs, min_duration_s=win / fs).bpm)
             for start in range(0, x.size - win + 1, step)]
 
@@ -169,6 +170,16 @@ def test_sliding_hr_at_rate_whose_window_rounds_down(fs):
     assert len(windows) == 51
     for _, bpm in windows:
         assert abs(bpm - 72.0) <= 0.5
+
+
+@pytest.mark.parametrize("fs, win_s", [(29.97, 10.0), (30.0, 10.01)])
+def test_sliding_hr_times_are_centres_of_searched_samples(fs, win_s):
+    # 300-sample windows every 30 samples, centred at (30 i + 150) / fs
+    # as spectrogram's slices are
+    x = np.sin(2 * np.pi * 1.2 * np.arange(int(60 * fs)) / fs)
+    times = [t for t, _ in sliding_hr(x, fs, win_s=win_s)]
+    assert times == spectrogram(x, fs, win_s=win_s)[0].tolist()
+    assert times[:2] == [150 / fs, 180 / fs]
 
 
 # (fs, T, nfft) of the searches that take the cosine route: the 30 Hz and

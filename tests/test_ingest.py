@@ -98,25 +98,24 @@ class TestAssembleTrace:
 class TestTraceCsv:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
-        trace = RawTrace(samples=rng.uniform(0, 255, size=(50, 3)), fs=30.0, t0=1.5)
+        trace = RawTrace(samples=rng.uniform(0, 255, size=(50, 3)), fs=30.0)
         path = tmp_path / "trace.csv"
         save_trace_csv(trace, path)
         loaded = load_trace_csv(path)
         assert np.array_equal(loaded.samples, trace.samples)
         assert loaded.fs == trace.fs
-        assert loaded.t0 == trace.t0
 
-    @pytest.mark.parametrize("fs, t0, header", [
-        (np.float64(30.0), np.float64(1.5), "# fs=30.0\n# t0=1.5\n"),
-        (np.int64(30), 0.0, "# fs=30\n"),
-        (30, 0.0, "# fs=30\n"),
+    @pytest.mark.parametrize("fs, header", [
+        (np.float64(30.0), "# fs=30.0\n"),
+        (np.int64(30), "# fs=30\n"),
+        (30, "# fs=30\n"),
     ])
-    def test_numpy_scalar_header_round_trip(self, tmp_path, fs, t0, header):
+    def test_numpy_scalar_header_round_trip(self, tmp_path, fs, header):
         path = tmp_path / "trace.csv"
-        save_trace_csv(RawTrace(samples=np.ones((5, 3)), fs=fs, t0=t0), path)
+        save_trace_csv(RawTrace(samples=np.ones((5, 3)), fs=fs), path)
         assert path.read_text().startswith(header + "0,")
         loaded = load_trace_csv(path)
-        assert loaded.fs == fs and loaded.t0 == t0
+        assert loaded.fs == fs
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

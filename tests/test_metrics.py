@@ -3,7 +3,7 @@ import pytest
 from scipy import signal
 
 from lowlight_rppg import evaluate, mae, rmse, snr, spectrogram
-from lowlight_rppg.errors import PairingError
+from lowlight_rppg.errors import PairingError, ZeroSignal
 from lowlight_rppg.metrics import cap_snr, pair_by_timestamp
 
 FS = 30.0
@@ -18,6 +18,18 @@ class TestSnr:
         assert snr(x, FS, 72.0) > 60.0
         assert cap_snr(snr(x, FS, 72.0)) == 60.0
         assert cap_snr(np.inf) == 60.0
+
+    @pytest.mark.parametrize("x", [np.zeros(300), np.full(300, 5.0), np.full(300, 0.1)],
+                             ids=["zeros", "constant", "constant-inexact-mean"])
+    def test_no_power_is_zero_signal(self, x):
+        # 0/0: not +inf, which reports would cap to the best score, 60 dB
+        with pytest.raises(ZeroSignal):
+            snr(x, FS, 72.0)
+
+    def test_zero_residual_is_inf(self):
+        # a 1.2 Hz tone at fs/4, 4.8 Hz: its FFT is exact, so every bin
+        # outside the signal bands holds exactly zero power
+        assert snr(np.tile([1.0, 0.0, -1.0, 0.0], 64), 4.8, 72.0) == np.inf
 
     def test_equal_power_two_tone_is_zero_db(self):
         # second tone at f_ref + 1 Hz, outside both signal bands for

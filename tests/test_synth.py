@@ -6,13 +6,13 @@ from lowlight_rppg import (
     attenuate,
     dominant_frequencies,
     generate,
-    illumination_sweep,
     snr,
 )
 from lowlight_rppg.errors import ConfigError
 from lowlight_rppg.metrics import spectrum
 from lowlight_rppg.preprocess import PULSE_BAND
 from lowlight_rppg.synth import MAX_SAMPLES
+from oracles import illumination_sweep
 
 FS = 30.0
 
@@ -77,6 +77,11 @@ class TestGenerate:
         dict(harmonic_ratio=1.5),
         dict(quantization_step=-1.0),
         dict(fs=100.0, duration_s=10000.5),  # just over MAX_SAMPLES
+        # a bool is not a number, as in PipelineConfig: True is not taken as 1
+        *({name: True} for name in ("hr_bpm", "fs", "duration_s", "harmonic_ratio",
+                                    "quantization_step", "drift_amp", "seed")),
+        *({name: tuple(True if i == j else 0.5 for j in range(3))}
+          for name in ("pulse_amp", "noise_rms") for i in range(3)),
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
