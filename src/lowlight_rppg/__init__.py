@@ -35,7 +35,7 @@ from .ssa import decompose_rows
 __version__ = "0.1.0"
 
 _EVALUATION = {  # module -> the names it exports here
-    "baseline": ("green_baseline_signal", "green_baseline_hr"),
+    "baseline": ("green_baseline_signal",),
     "metrics": ("EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate"),
     "synth": ("SynthConfig", "attenuate", "generate"),
     "sweep": (),
@@ -61,5 +61,5 @@ __all__ = [
     "dominant_frequencies", "spectral_peak",
     "EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate",
     "SynthConfig", "attenuate", "generate",
-    "green_baseline_signal", "green_baseline_hr",
+    "green_baseline_signal",
 ]

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, InvalidHeader, PairingError, ParseError, RppgError
-from .hr import estimate_hr, sliding_hr
+from .hr import estimate_hr, estimate_hr_series, sliding_hr
 from .ingest import (check_width, header_fs, load_trace_csv, read_csv, save_trace_csv,
                      trace_from_rows)
 from .reconstruct import PipelineConfig, PulseWave, run_pipeline
@@ -59,28 +59,31 @@ def _write_json(path, obj) -> None:
         fh.write(json.dumps(_round6(obj), indent=2, sort_keys=True) + "\n")
 
 
+# Pipeline flags that only the commands running the SSA pipeline take.
+_SSA_FIELDS = ("ssa_window", "sec_chn", "sigma_init")
+
+
 def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        window_s=args.window_s,
-        step_s=args.step_s,
-        ssa_window=args.ssa_window,
-        sec_chn=args.sec_chn,
-        lam=args.lam,
-        band=(args.band_low, args.band_high),
-        sigma_init=args.sigma_init,
-    )
+    """The command's pipeline flags as a config; a field it takes no flag
+    for keeps its default."""
+    ssa = {name: getattr(args, name) for name in _SSA_FIELDS if hasattr(args, name)}
+    return PipelineConfig(window_s=args.window_s, step_s=args.step_s, lam=args.lam,
+                          band=(args.band_low, args.band_high), **ssa)
 
 
-def _add_pipeline_flags(parser) -> None:
+def _add_pipeline_flags(parser, ssa: bool = True) -> None:
+    """Flags defaulting to ``PipelineConfig``'s values; the SSA and mask
+    flags only with ``ssa``."""
     default = PipelineConfig()
     parser.add_argument("--window-s", type=float, default=default.window_s)
     parser.add_argument("--step-s", type=float, default=default.step_s)
-    parser.add_argument("--ssa-window", type=int, default=default.ssa_window)
-    parser.add_argument("--sec-chn", type=int, default=default.sec_chn)
     parser.add_argument("--lambda", dest="lam", type=float, default=default.lam)
     parser.add_argument("--band-low", type=float, default=default.band[0])
     parser.add_argument("--band-high", type=float, default=default.band[1])
-    parser.add_argument("--sigma-init", type=float, default=default.sigma_init)
+    if ssa:
+        parser.add_argument("--ssa-window", type=int, default=default.ssa_window)
+        parser.add_argument("--sec-chn", type=int, default=default.sec_chn)
+        parser.add_argument("--sigma-init", type=float, default=default.sigma_init)
 
 
 def save_pulse_csv(pulse: PulseWave, path) -> None:
@@ -173,30 +176,30 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    """Spectrum and spectrogram of the raw green channel, and the HR of the
+    green baseline signal; every result is computed before any file is
+    written, so a processing error leaves none."""
     from . import baseline, metrics
     config = _pipeline_config(args)
     trace = load_trace_csv(args.trace)
-    os.makedirs(args.outdir, exist_ok=True)
     green = trace.green()
-
     freqs, power = metrics.spectrum(green, trace.fs)
-    _write_csv(os.path.join(args.outdir, "spectrum.csv"), "freq_hz,power", "%.6g,%.6g",
-               zip(freqs.tolist(), power.tolist()))
-
-    times, sfreqs, sxx = metrics.spectrogram(green, trace.fs,
-                                             win_s=args.window_s,
-                                             hop_s=args.step_s)
-    _write_csv(os.path.join(args.outdir, "spectrogram.csv"),
-               "t_seconds" + "".join(",%.6g" % f for f in sfreqs.tolist()),
-               ",".join(["%.6g"] * (1 + len(sfreqs))),
-               ((t, *row) for t, row in zip(times.tolist(), sxx.tolist())))
-
+    times, sfreqs, sxx = metrics.spectrogram(green, trace.fs, win_s=config.window_s,
+                                             hop_s=config.step_s)
     sig = baseline.green_baseline_signal(trace, lam=config.lam, band=config.band)
-    est = baseline.green_baseline_hr(trace, lam=config.lam, band=config.band)
+    est = estimate_hr_series(sig, trace.fs, config.window_s, config.band)
     try:
         snr_db = metrics.cap_snr(metrics.snr(sig, trace.fs, est.bpm))
     except ConfigError:
         snr_db = None  # peak outside the SNR metric's fixed [0.7, 4] Hz band
+
+    os.makedirs(args.outdir, exist_ok=True)
+    _write_csv(os.path.join(args.outdir, "spectrum.csv"), "freq_hz,power", "%.6g,%.6g",
+               zip(freqs.tolist(), power.tolist()))
+    _write_csv(os.path.join(args.outdir, "spectrogram.csv"),
+               "t_seconds" + "".join(",%.6g" % f for f in sfreqs.tolist()),
+               ",".join(["%.6g"] * (1 + len(sfreqs))),
+               ((t, *row) for t, row in zip(times.tolist(), sxx.tolist())))
     _write_json(os.path.join(args.outdir, "peaks.json"), {
         "peak_freq_hz": est.peak_freq,
         "bpm": est.bpm,
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="emit spectrum/spectrogram/peak files")
     p.add_argument("trace")
     p.add_argument("outdir")
-    _add_pipeline_flags(p)
+    _add_pipeline_flags(p, ssa=False)
     p.set_defaults(func=cmd_analyze)
 
     return parser

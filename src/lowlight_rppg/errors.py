@@ -1,4 +1,8 @@
-"""Exception hierarchy for the rPPG pipeline."""
+"""Exception hierarchy for the rPPG pipeline, and the number checks of
+the config classes."""
+
+import math
+import numbers
 
 
 class RppgError(Exception):
@@ -9,6 +13,25 @@ class RppgError(Exception):
 # used, such as a filter band above the trace's Nyquist frequency.
 class ConfigError(RppgError):
     """Invalid configuration value."""
+
+
+def check_real(name, value) -> float:
+    """``value`` as a float; ConfigError unless it is a finite real
+    number, not a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+
+
+def check_count(name, value, least: int) -> None:
+    """ConfigError unless ``value`` is an integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # --- ingestion ---

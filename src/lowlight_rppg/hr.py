@@ -116,16 +116,18 @@ def dominant_frequencies(x, fs: float, band: tuple[float, float],
     ``x`` is one series or an ``(..., T)`` stack of them.  Each series is
     divided by a power of two near its max ``|x|`` (``pow2_scaled``), so
     no scale overflows or underflows the search, and mean-removed, so
-    zero-padding does not smear a DC offset across the spectrum; a
-    constant series has no peak (``ZeroSignal``).  It is then searched by
-    ``spectral_peak`` at ``max(min_nfft, T)`` points: the default 8192
-    serves the spectral mask, and the HR estimates pass 2^14.  The result
-    has shape ``x.shape[:-1]``.
+    zero-padding does not smear a DC offset across the spectrum.  A
+    constant series, one whose samples all equal its first, has no peak
+    (``ZeroSignal``), whether or not its mean rounds.  Each series is
+    searched by ``spectral_peak`` at ``max(min_nfft, T)`` points: the
+    default 8192 serves the spectral mask, and the HR estimates pass
+    2^14.  The result has shape ``x.shape[:-1]``.
     """
-    x = pow2_scaled(np.asarray(x, dtype=float))[0]
-    x = x - x.mean(axis=-1, keepdims=True)
-    if not np.all(np.any(x, axis=-1)):
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.any(x != x[..., :1], axis=-1)):
         raise ZeroSignal("constant series has no spectral peak")
+    x = pow2_scaled(x)[0]
+    x = x - x.mean(axis=-1, keepdims=True)
     return spectral_peak(x, fs, band, max(min_nfft, x.shape[-1]))
 
 

@@ -12,6 +12,8 @@ from .errors import (
     NoAcceptedComponents,
     TraceTooShort,
     WindowSpacingError,
+    check_count,
+    check_real,
 )
 from .hr import dominant_frequencies
 from .ingest import RawTrace
@@ -91,18 +93,6 @@ class PulseWave:
     window_flags: tuple[WindowRecord, ...] = ()
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """ConfigError unless ``value`` is an integer, not a bool, >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_real(name: str, value) -> None:
-    """ConfigError unless ``value`` is a real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Pipeline settings; out-of-range values, and values of the wrong
@@ -124,23 +114,18 @@ class PipelineConfig:
     sigma_init: float = SIGMA_INIT
 
     def __post_init__(self):
-        positive = {"window_s": self.window_s, "step_s": self.step_s,
-                    "sigma_init": self.sigma_init}
-        for name, value in positive.items():
-            _check_real(name, value)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        _check_real("lam", self.lam)
-        check_lambda(self.lam)
-        _check_count("sec_chn", self.sec_chn, 1)
+        for name in ("window_s", "step_s", "sigma_init"):
+            value = check_real(name, getattr(self, name))
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        check_lambda(check_real("lam", self.lam))
+        check_count("sec_chn", self.sec_chn, 1)
         if self.ssa_window is not None:
-            _check_count("ssa_window", self.ssa_window, 2)
+            check_count("ssa_window", self.ssa_window, 2)
         if np.shape(self.band) != (2,):
             raise ConfigError(f"band must be a (low, high) pair, got {self.band!r}")
-        for edge in self.band:
-            _check_real("band edge", edge)
-        low, high = self.band
-        if not (np.isfinite(high) and 0 < low < high):
+        low, high = (check_real("band edge", edge) for edge in self.band)
+        if not 0 < low < high:
             raise ConfigError(f"band needs 0 < low < high, got [{low}, {high}]")
 
 

@@ -12,7 +12,7 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 
 from . import baseline, metrics, synth
-from .errors import ConfigError
+from .errors import check_count
 from .hr import sliding_hr
 from .reconstruct import run_pipeline
 
@@ -39,15 +39,15 @@ def sweep_report(config, levels, pipe_config, n_seeds: int = 1,
                  jobs: int = 1) -> list[dict]:
     """One row per (level, method); metrics are medians over seeds.
 
-    ``n_seeds`` and ``jobs`` must be at least 1, and every level is
-    checked (``synth.attenuate``), before any task starts.  One task
-    scores one method on one (level, seed) trace; every pipeline task is
+    ``n_seeds`` and ``jobs`` must be integers of at least 1, and every
+    level is checked (``synth.attenuate``), before any task starts.  One
+    task scores one method on one (level, seed) trace; every pipeline task is
     queued before the shorter baseline tasks, so with ``jobs`` > 1 these
     fill the workers that would otherwise wait for the last pipeline run
     (longest first).  The rows do not depend on ``jobs``.
     """
-    if n_seeds < 1 or jobs < 1:
-        raise ConfigError(f"seeds and jobs must be >= 1, got {n_seeds} and {jobs}")
+    check_count("n_seeds", n_seeds, 1)
+    check_count("jobs", jobs, 1)
     cfgs = [synth.attenuate(dataclasses.replace(config, seed=config.seed + k), level)
             for level in levels for k in range(n_seeds)]
     tasks = [(cfg, method) for method in METHODS for cfg in cfgs]

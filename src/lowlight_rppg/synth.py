@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count, check_real
 from .ingest import RawTrace
 from .preprocess import PULSE_BAND
 
@@ -30,13 +28,6 @@ DEFAULT_PULSE_AMP = (0.3, 1.0, 0.2)
 # may ask for: over 9 h at 30 Hz, at 8 MB per channel array, so that no
 # config makes ``generate`` exhaust memory.
 MAX_SAMPLES = 1_000_000
-
-
-def _finite(name, value) -> float:
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and math.isfinite(value)):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -63,13 +54,11 @@ class SynthConfig:
             v = getattr(self, name)
             if not isinstance(v, (tuple, list, np.ndarray)) or len(v) != 3:
                 raise ConfigError(f"{name} must be a 3-tuple (R, G, B)")
-            object.__setattr__(self, name, tuple(_finite(name, x) for x in v))
+            object.__setattr__(self, name, tuple(check_real(name, x) for x in v))
         for name in ("hr_bpm", "fs", "duration_s", "harmonic_ratio",
                      "quantization_step", "drift_amp"):
-            _finite(name, getattr(self, name))
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral)
-                                               and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+            check_real(name, getattr(self, name))
+        check_count("seed", self.seed, 0)
         f = self.hr_bpm / 60.0
         if not (PULSE_BAND[0] <= f <= PULSE_BAND[1]):
             raise ConfigError(f"hr_bpm {self.hr_bpm} outside the pulse band")

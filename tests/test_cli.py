@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -393,6 +394,8 @@ class TestSynthCommand:
         # over synth.MAX_SAMPLES; rejected before generate allocates
         '{"fs": 1e300}', '{"fs": 30, "duration_s": 1e12}',
         '{"seed": true}', '{"drift_amp": true}', '{"noise_rms": [0, true, 0]}',
+        # an integer beyond the float range used to end in an OverflowError
+        pytest.param('{"hr_bpm": 1' + "0" * 400 + "}", id="hr_bpm-huge-int"),
     ])
     def test_bad_config_value_exit_2_without_traceback(self, tmp_path, capsys, content):
         cfg = tmp_path / "bad.json"
@@ -497,6 +500,19 @@ class TestSweep:
         assert [(r["level"], r["method"]) for r in reports[0]] == \
             [(level, method) for level in levels for method in ("proposed", "green-baseline")]
 
+    @pytest.mark.parametrize("kwargs", [dict(n_seeds=1.5), dict(n_seeds=True),
+                                        dict(jobs=True), dict(jobs=2.5)])
+    def test_seeds_and_jobs_must_be_integers(self, monkeypatch, kwargs):
+        # n_seeds=1.5 used to end in a TypeError, and the others ran
+        from lowlight_rppg import synth
+        from lowlight_rppg.errors import ConfigError
+        from lowlight_rppg.sweep import sweep_report
+        made = []
+        monkeypatch.setattr(synth, "generate", lambda cfg: made.append(cfg))
+        with pytest.raises(ConfigError):
+            sweep_report(SynthConfig(), [1.0], PipelineConfig(), **kwargs)
+        assert made == []
+
     def test_cli_sweep_report_is_the_library_function(self):
         from lowlight_rppg import cli, sweep
         assert cli.sweep_report is sweep.sweep_report
@@ -540,6 +556,74 @@ class TestAnalyze:
         peaks = json.loads((outdir / "peaks.json").read_text())
         assert abs(peaks["bpm"] - 36.0) <= 0.2
         assert peaks["snr_db"] is None
+
+
+    @pytest.mark.parametrize("flag", ["--ssa-window", "--sec-chn", "--sigma-init"])
+    def test_ssa_flags_are_not_analyze_flags(self, tmp_path, clean_trace, capsys, flag):
+        # analyze reads no SSA or mask setting, so it takes no such flag
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(clean_trace), str(tmp_path / "out"), flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+    def test_too_short_trace_writes_no_file(self, tmp_path):
+        # an 8 s trace is shorter than the default 10 s window: analyze
+        # used to write spectrum.csv before the spectrogram failed
+        outdir = tmp_path / "analysis"
+        assert main(["analyze", str(_eight_second_trace(tmp_path)), str(outdir)]) == 3
+        assert list(outdir.glob("*")) == []
+
+    @pytest.mark.filterwarnings("ignore:series of")
+    def test_hr_minimum_follows_window(self, tmp_path):
+        # the baseline HR used to need 10 s whatever --window-s said
+        outdir = tmp_path / "analysis"
+        assert main(["analyze", str(_eight_second_trace(tmp_path)), str(outdir),
+                     "--window-s", "4"]) == 0
+        assert sorted(f.name for f in outdir.iterdir()) == [
+            "peaks.json", "spectrogram.csv", "spectrum.csv"]
+        assert abs(json.loads((outdir / "peaks.json").read_text())["bpm"] - 75.0) <= 1.0
+
+
+def _eight_second_trace(tmp_path):
+    trace = generate(SynthConfig(hr_bpm=75.0, duration_s=10.0, noise_rms=(0.0,) * 3))
+    path = tmp_path / "short.csv"
+    save_trace_csv(RawTrace(samples=trace.samples[:240], fs=30.0), path)
+    return path
+
+
+# A valid value other than the default for every pipeline flag: --window-s 12
+# keeps the window an even number of samples, and --step-s 0.5 divides the
+# 5 s hop.  A flag added to extract or analyze needs an entry here.
+NON_DEFAULT_FLAGS = {"--window-s": "12", "--step-s": "0.5", "--lambda": "30",
+                     "--band-low": "0.8", "--band-high": "3", "--ssa-window": "40",
+                     "--sec-chn": "3", "--sigma-init": "0.3"}
+
+
+def _command_flags(command):
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return [a.option_strings[0] for a in commands[command]._actions
+            if a.option_strings and a.dest != "help"]
+
+
+@pytest.mark.parametrize("command", ["extract", "analyze"])
+def test_every_pipeline_flag_takes_effect(tmp_path, command):
+    trace = tmp_path / "trace.csv"
+    save_trace_csv(generate(SynthConfig(duration_s=20.0, noise_rms=(0.5,) * 3, seed=2)),
+                   trace)
+
+    def outputs(name, *flags):
+        run = tmp_path / name
+        run.mkdir()
+        out = run / ("pulse.csv" if command == "extract" else "analysis")
+        assert main([command, str(trace), str(out), *flags]) == 0
+        return {f.name: f.read_bytes() for f in sorted(run.rglob("*")) if f.is_file()}
+
+    default = outputs("default")
+    for flag in _command_flags(command):
+        changed = outputs(flag, flag, NON_DEFAULT_FLAGS[flag])
+        assert changed.keys() == default.keys()
+        assert changed != default, f"{command} {flag} changes no output"
 
 
 def test_extract_evaluate_sweep_do_not_load_scipy_signal(tmp_path, clean_config):

@@ -140,8 +140,17 @@ FLAG_VALUES = (
      for value in ["0", "-1", "nan", "inf", "1e-300", "1e308", str(default)]]
     + [(flag, value) for flag, default in _INT_FLAGS.items()
        for value in ["0", "-1", "2", str(10**18), str(default)]])
-pipeline_flags = st.lists(st.sampled_from(FLAG_VALUES), min_size=1, max_size=3).map(
-    lambda pairs: [f"{flag}={value}" for flag, value in pairs])
+# analyze takes no SSA or mask flag
+_SSA_FLAGS = ("--ssa-window", "--sec-chn", "--sigma-init")
+COMMAND_FLAG_VALUES = {
+    "extract": FLAG_VALUES,
+    "analyze": [(flag, value) for flag, value in FLAG_VALUES if flag not in _SSA_FLAGS],
+}
+
+
+def pipeline_flags(command):
+    return st.lists(st.sampled_from(COMMAND_FLAG_VALUES[command]), min_size=1,
+                    max_size=3).map(lambda pairs: [f"{flag}={value}" for flag, value in pairs])
 
 # 15 s of a noisy 1.2 Hz pulse at 10 Hz, enough for the default 10 s window
 _rng = np.random.default_rng(0)
@@ -153,8 +162,9 @@ FLAG_TRACE = _csv(10, [[repr(float(v)) for v in 100.0 + np.sin(2 * np.pi * 1.2 *
 @pytest.mark.filterwarnings("ignore:series of")  # a band edge near 0 Hz settles slowly
 @pytest.mark.parametrize("command", ["extract", "analyze"])
 @settings(FUZZ, max_examples=100)
-@given(flags=pipeline_flags)
-def test_pipeline_flags(capsys, command, flags):
+@given(data=st.data())
+def test_pipeline_flags(capsys, command, data):
+    flags = data.draw(pipeline_flags(command))
     with tempfile.TemporaryDirectory() as d:
         argv = [command, _write(d, "trace.csv", FLAG_TRACE), os.path.join(d, "out"), *flags]
         _exits_cleanly(capsys, argv)

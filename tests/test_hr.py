@@ -87,6 +87,21 @@ def test_zero_signal():
         estimate_hr_series(np.full(600, 3.0), FS)
 
 
+@pytest.mark.parametrize("value", [0.1, 100.3])
+@pytest.mark.parametrize("search", [
+    lambda x: dominant_frequencies(x, FS, (0.7, 4.0)),
+    lambda x: estimate_hr_series(x, FS),
+    lambda x: sliding_hr(x, FS),
+], ids=["dominant_frequencies", "estimate_hr_series", "sliding_hr"])
+def test_constant_with_inexact_mean_is_zero_signal(search, value):
+    # the mean of 300 copies of 0.1 is not 0.1 in floating point: the
+    # mean-removed residue used to pass as a signal and give a peak
+    x = np.full(300, value)
+    assert x.mean() != value
+    with pytest.raises(ZeroSignal):
+        search(x)
+
+
 def test_too_short():
     with pytest.raises(SeriesTooShort):
         estimate_hr_series(np.sin(np.arange(100)), FS)

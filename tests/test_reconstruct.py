@@ -256,6 +256,10 @@ class TestRunPipeline:
         ("lam", "100"), ("sigma_init", None), ("band", ("0.7", "4")), ("step_s", "1"),
         ("window_s", True), ("step_s", True), ("sigma_init", True), ("lam", True),
         ("band", (0.5, True)), ("band", (True, 4.0)),
+        # non-finite values; an int beyond the float range was a TypeError
+        ("lam", float("nan")), ("sigma_init", float("inf")), ("step_s", -float("inf")),
+        pytest.param("window_s", 10**400, id="window_s-huge-int"),
+        ("band", (0.7, 10**400)),
     ])
     def test_config_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ConfigError):

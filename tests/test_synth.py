@@ -82,6 +82,9 @@ class TestGenerate:
                                     "quantization_step", "drift_amp", "seed")),
         *({name: tuple(True if i == j else 0.5 for j in range(3))}
           for name in ("pulse_amp", "noise_rms") for i in range(3)),
+        dict(seed=-1), dict(seed=1.5), dict(drift_amp=float("nan")),
+        # an int beyond the float range was an OverflowError
+        dict(hr_bpm=10**400), dict(pulse_amp=(0.3, 1.0, 10**400)),
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
