@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -109,23 +110,50 @@ def load_reference_csv(path) -> list[tuple[float, float]]:
     return [(t, bpm) for t, bpm in rows.tolist()]
 
 
+def _os_error(code: int, path) -> OSError:
+    """The OSError subclass that ``code`` (an ``errno`` value) names."""
+    return OSError(code, os.strerror(code), path)
+
+
+def _check_output_files(*paths) -> None:
+    """Raise the error that writing ``paths`` would, before any work: each
+    must lie in an existing directory and not be a directory itself."""
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise _os_error(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT, parent)
+        if os.path.isdir(path):
+            raise _os_error(errno.EISDIR, path)
+
+
+def _check_output_dir(path) -> None:
+    """Raise unless ``path`` is a directory or ``os.makedirs`` can make
+    it: the nearest existing path at or above it must be a directory."""
+    nearest = os.path.abspath(path)
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise _os_error(errno.ENOTDIR, nearest)
+
+
 def cmd_extract(args) -> int:
     config = _pipeline_config(args)
+    base, _ = os.path.splitext(args.out)
+    windows_path, hr_path = base + ".windows.json", base + ".hr.json"
+    _check_output_files(args.out, windows_path, hr_path)
     trace = load_trace_csv(args.trace)
     pulse = run_pipeline(trace, config)
     est = estimate_hr(pulse, band=config.band, min_duration_s=config.window_s)
     save_pulse_csv(pulse, args.out)
-    base, _ = os.path.splitext(args.out)
-    _write_json(base + ".windows.json",
-                [rec.to_dict() for rec in pulse.window_flags])
-    _write_json(base + ".hr.json",
-                {"bpm": est.bpm, "peak_freq_hz": est.peak_freq})
+    _write_json(windows_path, [rec.to_dict() for rec in pulse.window_flags])
+    _write_json(hr_path, {"bpm": est.bpm, "peak_freq_hz": est.peak_freq})
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     from . import metrics
     config = _pipeline_config(args)
+    _check_output_files(args.report)
     headers, rows = read_csv(args.input)
     if not len(rows):
         raise ParseError("file has no data rows")
@@ -145,6 +173,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     from . import synth
+    _check_output_files(args.out)
     config = synth.SynthConfig.from_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -154,6 +183,7 @@ def cmd_synth(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import sweep, synth
+    _check_output_files(args.report)
     config = synth.SynthConfig.from_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -181,6 +211,7 @@ def cmd_analyze(args) -> int:
     written, so a processing error leaves none."""
     from . import baseline, metrics
     config = _pipeline_config(args)
+    _check_output_dir(args.outdir)
     trace = load_trace_csv(args.trace)
     green = trace.green()
     freqs, power = metrics.spectrum(green, trace.fs)
@@ -257,10 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 # PairingError counts as an input error: it means the supplied reference
 # file does not cover the estimated windows.  UnicodeDecodeError is a file
-# that is not text.
+# that is not text.  The OS errors are input or output paths that cannot
+# be read or written.
 _INPUT_ERRORS = (ParseError, InvalidHeader, ConfigError, PairingError,
-                 FileNotFoundError, IsADirectoryError, PermissionError,
-                 json.JSONDecodeError, UnicodeDecodeError)
+                 FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
+                 PermissionError, json.JSONDecodeError, UnicodeDecodeError)
 
 
 def main(argv=None) -> int:

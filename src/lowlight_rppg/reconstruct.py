@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,39 @@ from .ssa import decompose_rows, default_window_length
 # fusion, this many rows at a time, so peak memory does not grow with
 # the trace length.
 _BLOCK_ROWS = 64
+
+# The variables OpenBLAS reads its thread count from when it loads, in
+# the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def helper_count(environ, blas_name: str, cores: int) -> int:
+    """How many threads besides the caller ``run_pipeline`` may run the
+    emitted windows on: ``cores - 1`` when numpy's BLAS is OpenBLAS and the
+    first of ``_BLAS_THREAD_VARS`` set (non-empty) in ``environ`` is 1, so
+    that every BLAS call runs on one thread; else 0.  With more BLAS
+    threads per call, window threads oversubscribe the cores (18-82%
+    slower on two).
+    """
+    if "openblas" not in blas_name.lower():
+        return 0
+    value = next((environ[v] for v in _BLAS_THREAD_VARS if environ.get(v)), "")
+    return cores - 1 if value.strip() == "1" else 0
+
+
+def _blas_name() -> str:
+    """The name of numpy's BLAS library, or "" where numpy does not say."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # a numpy that only prints its build config
+        return ""
+    return str(config.get("Build Dependencies", {}).get("blas", {}).get("name", ""))
+
+
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+# Decided once: OpenBLAS reads its variables once, when numpy loads it.
+_HELPERS = helper_count(os.environ, _blas_name(), _CORES)
 
 
 def fuse_rows(components, freqs, accepted, f_r, sigma_fr) -> np.ndarray:
@@ -129,6 +165,38 @@ class PipelineConfig:
             raise ConfigError(f"band needs 0 < low < high, got [{low}, {high}]")
 
 
+def _run_parts(func, start: int, stop: int, parts: int) -> list:
+    """``[func(s) for s in slices]`` over ``parts`` contiguous slices of
+    ``range(start, stop)`` (none empty), in order.  The caller runs the
+    first slice, and a new thread each of the others in a copy of the
+    caller's context, so that ``np.errstate`` holds there too.  Once every
+    slice has ended, the exception of the lowest-numbered one that failed
+    is raised.
+    """
+    n = stop - start
+    edges = [start + n * i // parts for i in range(parts + 1)]
+    slices = [slice(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+    results, errors = [None] * len(slices), [None] * len(slices)
+
+    def run(i):
+        try:
+            results[i] = func(slices[i])
+        except BaseException as exc:  # raised below, on the caller's thread
+            errors[i] = exc
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+               for i in range(1, len(slices))]
+    for t in helpers:
+        t.start()
+    run(0)
+    for t in helpers:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> PulseWave:
     """Extract the pulse wave from a raw trace.
 
@@ -145,6 +213,13 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     hop.  Analysis runs at the fine step purely for reference-HR
     tracking; emitting every window would break the constant-overlap-add
     normalization.
+
+    Called from the main thread, with numpy's BLAS on one thread per call
+    (``helper_count``), the emitted windows of each block are split into
+    contiguous parts, one per core: the caller takes the first and a new
+    thread each of the others.  No window's result depends on the others
+    in its block, so the output is byte-identical to that of one part.
+    Other threads, such as ``sweep_report``'s workers, run one part.
     """
     fs = trace.fs
     win = sample_count(config.window_s, fs)
@@ -176,15 +251,22 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
 
     n_accepted = np.zeros(len(windows), dtype=int)  # 0 and False where not emitted
     fallback = np.zeros(len(windows), dtype=bool)
+    emitted = (f_r[::every], sigma_fr[::every], n_accepted[::every], fallback[::every])
+
+    def fuse(rows: slice) -> np.ndarray:
+        """Fuse the emitted windows ``rows`` and write their flags."""
+        f, sigma, n_acc, fb = (a[rows] for a in emitted)
+        comps, sv = decompose_rows(np.array(emitted_segs[rows]), L, config.sec_chn)
+        freqs, accepted, fb[:] = select_rows(comps, sv, fs, f, sigma, config.band)
+        n_acc[:] = accepted.sum(axis=1)
+        return fuse_rows(comps, freqs, accepted, f, sigma)
+
+    parts = 1 + (_HELPERS if threading.current_thread() is threading.main_thread() else 0)
     samples = np.zeros((len(emitted_segs) + 1) * hop)
     for c in range(0, len(emitted_segs), _BLOCK_ROWS):
-        part = slice(c, c + _BLOCK_ROWS)
-        ref = f_r[::every][part], sigma_fr[::every][part]
-        comps, sv = decompose_rows(np.array(emitted_segs[part]), L, config.sec_chn)
-        freqs, accepted, fallback[::every][part] = select_rows(comps, sv, fs, *ref, config.band)
-        n_accepted[::every][part] = accepted.sum(axis=1)
-        fused = fuse_rows(comps, freqs, accepted, *ref)
-        overlap_add_rows(samples[c * hop:(c + len(fused) + 1) * hop], fused, hop)
+        stop = min(c + _BLOCK_ROWS, len(emitted_segs))
+        fused = np.concatenate(_run_parts(fuse, c, stop, parts))
+        overlap_add_rows(samples[c * hop:(stop + 1) * hop], fused, hop)
     records = tuple(WindowRecord(t_start=i * step / fs, f_r=f, sigma_fr=sigma, n_accepted=n,
                                  fallback=fb, emitted=i % every == 0)
                     for i, (f, sigma, n, fb) in enumerate(zip(

@@ -161,6 +161,28 @@ class TestExtract:
         assert main(["extract", str(clean_trace), str(tmp_path / "p.csv")]) == 3
         assert list(tmp_path.glob("p*")) == []
 
+    @pytest.mark.parametrize("out", ["afile/p.csv", "nodir/p.csv"],
+                             ids=["under-a-file", "no-directory"])
+    def test_unwritable_output_exit_2_before_any_work(self, tmp_path, clean_trace, capsys,
+                                                      monkeypatch, out):
+        # extract used to run the whole pipeline, then end in a
+        # NotADirectoryError traceback
+        from lowlight_rppg import cli
+        (tmp_path / "afile").write_text("")
+        read = []
+        monkeypatch.setattr(cli, "load_trace_csv", read.append)
+        assert main(["extract", str(clean_trace), str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert read == []
+
+    def test_directory_at_an_output_path_writes_no_file(self, tmp_path, clean_trace, capsys):
+        # the pulse file used to be written before the windows file failed
+        (tmp_path / "p.windows.json").mkdir()
+        assert main(["extract", str(clean_trace), str(tmp_path / "p.csv")]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.glob("p*")) == ["p.windows.json"]
+
 
 def _per_value_fmt(v) -> str:
     # how every CSV field was formatted before the writers took row formats
@@ -335,6 +357,24 @@ class TestEvaluate:
         write_reference(ref, 72.0, [5.0])
         assert main(["evaluate", str(path), str(ref), str(tmp_path / "r.json")]) == 2
         assert "no data rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "synth", "sweep"])
+def test_report_under_a_file_exit_2_before_any_work(tmp_path, clean_trace, clean_config,
+                                                    capsys, monkeypatch, command):
+    from lowlight_rppg import cli, synth
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / "afile" / "out")
+    read = []
+    monkeypatch.setattr(cli, "read_csv", read.append)
+    monkeypatch.setattr(synth.SynthConfig, "from_json", read.append)
+    argv = {"evaluate": ["evaluate", str(clean_trace), str(clean_trace), out],
+            "synth": ["synth", str(clean_config), out],
+            "sweep": ["sweep", str(clean_config), out]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert read == []
 
 
 def test_pipeline_flag_defaults_are_the_config_defaults():
@@ -565,6 +605,20 @@ class TestAnalyze:
             main(["analyze", str(clean_trace), str(tmp_path / "out"), flag, "5"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("outdir", ["afile", "afile/analysis"])
+    def test_outdir_at_or_under_a_file_exit_2_before_any_work(self, tmp_path, clean_trace,
+                                                              capsys, monkeypatch, outdir):
+        # analyze used to compute every result, then end in a
+        # FileExistsError (or NotADirectoryError) traceback
+        from lowlight_rppg import cli
+        (tmp_path / "afile").write_text("")
+        read = []
+        monkeypatch.setattr(cli, "load_trace_csv", read.append)
+        assert main(["analyze", str(clean_trace), str(tmp_path / outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err and "Traceback" not in err
+        assert read == [] and (tmp_path / "afile").read_text() == ""
 
     def test_too_short_trace_writes_no_file(self, tmp_path):
         # an 8 s trace is shorter than the default 10 s window: analyze
