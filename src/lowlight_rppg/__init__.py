@@ -10,8 +10,7 @@ here load on first use (PEP 562), so the pipeline does not pay for them.
 
 import importlib
 
-from .hr import (HrEstimate, dominant_frequencies, estimate_hr, estimate_hr_series,
-                 sliding_hr, spectral_peak)
+from .hr import HrEstimate, dominant_frequencies, estimate_hr, estimate_hr_series, sliding_hr
 from .ingest import (
     RawTrace,
     RoiFrame,
@@ -58,7 +57,7 @@ __all__ = [
     "decompose_rows", "MaskReason", "spectral_mask", "select_rows",
     "PulseWave", "PipelineConfig", "fuse_rows", "overlap_add_rows", "run_pipeline",
     "HrEstimate", "estimate_hr", "estimate_hr_series", "sliding_hr",
-    "dominant_frequencies", "spectral_peak",
+    "dominant_frequencies",
     "EvalReport", "snr", "mae", "rmse", "spectrum", "spectrogram", "evaluate",
     "SynthConfig", "attenuate", "generate",
     "green_baseline_signal",

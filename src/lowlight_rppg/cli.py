@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import json
 import os
 import sys
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, InvalidHeader, PairingError, ParseError, RppgError
 from .hr import estimate_hr, estimate_hr_series, sliding_hr
 from .ingest import (check_width, header_fs, load_trace_csv, read_csv, save_trace_csv,
-                     trace_from_rows)
+                     trace_from_rows, write_csv)
 from .reconstruct import PipelineConfig, PulseWave, run_pipeline
 
 EXIT_OK = 0
@@ -46,13 +45,6 @@ def _round6(obj):
     if isinstance(obj, (list, tuple)):
         return [_round6(v) for v in obj]
     return obj
-
-
-def _write_csv(path, header: str, fmt: str, rows) -> None:
-    """``header``, then a ``fmt % row`` line per row (``%d`` ints, ``%.6g`` floats)."""
-    line = fmt + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + "".join(line % row for row in rows))
 
 
 def _write_json(path, obj) -> None:
@@ -88,7 +80,7 @@ def _add_pipeline_flags(parser, ssa: bool = True) -> None:
 
 
 def save_pulse_csv(pulse: PulseWave, path) -> None:
-    _write_csv(path, "# fs=%.6g" % pulse.fs, "%d,%.6g", enumerate(pulse.samples.tolist()))
+    write_csv(path, "# fs=%.6g" % pulse.fs, "%d,%.6g", enumerate(pulse.samples.tolist()))
 
 
 def pulse_from_rows(headers, rows: np.ndarray) -> PulseWave:
@@ -110,30 +102,38 @@ def load_reference_csv(path) -> list[tuple[float, float]]:
     return [(t, bpm) for t, bpm in rows.tolist()]
 
 
-def _os_error(code: int, path) -> OSError:
-    """The OSError subclass that ``code`` (an ``errno`` value) names."""
-    return OSError(code, os.strerror(code), path)
-
-
 def _check_output_files(*paths) -> None:
-    """Raise the error that writing ``paths`` would, before any work: each
-    must lie in an existing directory and not be a directory itself."""
+    """Raise the OSError that writing ``paths`` would, before any work.
+    Each path is created and removed again, or, if it exists, opened for
+    appending, which leaves it as it is."""
     for path in paths:
-        parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
-            raise _os_error(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT, parent)
-        if os.path.isdir(path):
-            raise _os_error(errno.EISDIR, path)
+        try:
+            open(path, "x").close()
+        except FileExistsError:
+            open(path, "a").close()
+        else:
+            os.remove(path)
 
 
-def _check_output_dir(path) -> None:
-    """Raise unless ``path`` is a directory or ``os.makedirs`` can make
-    it: the nearest existing path at or above it must be a directory."""
-    nearest = os.path.abspath(path)
-    while not os.path.exists(nearest):
-        nearest = os.path.dirname(nearest)
-    if not os.path.isdir(nearest):
-        raise _os_error(errno.ENOTDIR, nearest)
+def _check_output_dir(path, files) -> None:
+    """Raise the OSError that making directory ``path`` and writing
+    ``files`` in it would, before any work; the directories the check
+    makes, it removes again."""
+    missing = []
+    head = path
+    while head and not os.path.lexists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    made = []
+    try:
+        for head in reversed(missing):
+            if not os.path.isdir(head):  # "a/" or "a/.." once "a" is made
+                os.mkdir(head)
+                made.append(head)
+        _check_output_files(*files)
+    finally:
+        for head in reversed(made):
+            os.rmdir(head)
 
 
 def cmd_extract(args) -> int:
@@ -198,10 +198,10 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _write_json(args.report, rows)
     else:
-        _write_csv(args.report, "level,method,snr_db,mae_bpm,rmse_bpm",
-                   "%.6g,%s,%.6g,%.6g,%.6g",
-                   ((float(r["level"]), r["method"], r["snr_db"], r["mae_bpm"],
-                     r["rmse_bpm"]) for r in rows))
+        write_csv(args.report, "level,method,snr_db,mae_bpm,rmse_bpm",
+                  "%.6g,%s,%.6g,%.6g,%.6g",
+                  ((float(r["level"]), r["method"], r["snr_db"], r["mae_bpm"],
+                    r["rmse_bpm"]) for r in rows))
     return EXIT_OK
 
 
@@ -211,7 +211,9 @@ def cmd_analyze(args) -> int:
     written, so a processing error leaves none."""
     from . import baseline, metrics
     config = _pipeline_config(args)
-    _check_output_dir(args.outdir)
+    outputs = [os.path.join(args.outdir, name)
+               for name in ("spectrum.csv", "spectrogram.csv", "peaks.json")]
+    _check_output_dir(args.outdir, outputs)
     trace = load_trace_csv(args.trace)
     green = trace.green()
     freqs, power = metrics.spectrum(green, trace.fs)
@@ -225,13 +227,12 @@ def cmd_analyze(args) -> int:
         snr_db = None  # peak outside the SNR metric's fixed [0.7, 4] Hz band
 
     os.makedirs(args.outdir, exist_ok=True)
-    _write_csv(os.path.join(args.outdir, "spectrum.csv"), "freq_hz,power", "%.6g,%.6g",
-               zip(freqs.tolist(), power.tolist()))
-    _write_csv(os.path.join(args.outdir, "spectrogram.csv"),
-               "t_seconds" + "".join(",%.6g" % f for f in sfreqs.tolist()),
-               ",".join(["%.6g"] * (1 + len(sfreqs))),
-               ((t, *row) for t, row in zip(times.tolist(), sxx.tolist())))
-    _write_json(os.path.join(args.outdir, "peaks.json"), {
+    spectrum_csv, spectrogram_csv, peaks_json = outputs
+    write_csv(spectrum_csv, "freq_hz,power", "%.6g,%.6g", zip(freqs.tolist(), power.tolist()))
+    write_csv(spectrogram_csv, "t_seconds" + "".join(",%.6g" % f for f in sfreqs.tolist()),
+              ",".join(["%.6g"] * (1 + len(sfreqs))),
+              ((t, *row) for t, row in zip(times.tolist(), sxx.tolist())))
+    _write_json(peaks_json, {
         "peak_freq_hz": est.peak_freq,
         "bpm": est.bpm,
         "snr_db": snr_db,
@@ -288,11 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # PairingError counts as an input error: it means the supplied reference
 # file does not cover the estimated windows.  UnicodeDecodeError is a file
-# that is not text.  The OS errors are input or output paths that cannot
-# be read or written.
-_INPUT_ERRORS = (ParseError, InvalidHeader, ConfigError, PairingError,
-                 FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
-                 PermissionError, json.JSONDecodeError, UnicodeDecodeError)
+# that is not text.  An OSError is an input or output path that cannot be
+# read or written.
+_INPUT_ERRORS = (ParseError, InvalidHeader, ConfigError, PairingError, OSError,
+                 json.JSONDecodeError, UnicodeDecodeError)
 
 
 def main(argv=None) -> int:

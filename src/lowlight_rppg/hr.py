@@ -6,28 +6,27 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, SeriesTooShort, ZeroSignal
-from .preprocess import PULSE_BAND, pow2_scaled, sample_count
+from .preprocess import PULSE_BAND, pow2_scaled, sample_count, window_stack
 
 # Zero-pad target of the HR estimates: <= 0.11 bpm resolution at fs = 30 Hz.
 _HR_MIN_NFFT = 2**14
 
-# sliding_hr searches this many windows per spectral_peak call.  On the
-# cosine route, which 10 s windows at 30 and 60 Hz take, each call streams
-# the whole table (300 x 1802 entries, 4.3 MB, at 30 Hz) once, so larger
-# blocks stream it fewer times.
+# sliding_hr searches this many windows per dominant_frequencies call.
+# On the cosine route, which 10 s windows at 30 and 60 Hz take, each call
+# streams the whole table (300 x 1802 entries, 4.3 MB, at 30 Hz) once, so
+# larger blocks stream it fewer times.
 _BLOCK_ROWS = 64
 
-# spectral_peak's FFT route transforms this many rows at a time, so its
-# zero-padded spectra (16 x 4097 complex values, 1 MB, at 8192 points)
+# dominant_frequencies' FFT route transforms this many rows at a time, so
+# its zero-padded spectra (16 x 4097 complex values, 1 MB, at 8192 points)
 # do not grow with the row count.
 _FFT_ROWS = 16
 
-# spectral_peak takes the cosine route when its table has at most this
-# many entries (8 MB); larger searches (full-spectrum candidate scoring,
-# single series of a minute or more) were measured faster on the FFT.
+# dominant_frequencies takes the cosine route when its table has at most
+# this many entries (8 MB); larger searches (full-spectrum candidate
+# scoring, single series of a minute or more) measured faster on the FFT.
 _MAX_TABLE_ENTRIES = 2**20
 
 
@@ -56,27 +55,32 @@ def _cosine_table(T: int, nfft: int, k0: int, m: int) -> np.ndarray:
 
 def _autocorrelation(x) -> np.ndarray:
     """Lags ``0..T-1`` of each row's autocorrelation, from one
-    ``rfft``/``irfft`` pair of ``2^ceil(log2(2T - 1))`` points.
-
-    Rows are first divided by a power of two near their max ``|x|``
-    (``pow2_scaled``), so ``|F|^2`` neither overflows nor underflows.
-    """
+    ``rfft``/``irfft`` pair of ``2^ceil(log2(2T - 1))`` points.  The rows
+    are taken as given: ``dominant_frequencies`` has scaled them, so
+    ``|F|^2`` neither overflows nor underflows."""
     T = x.shape[-1]
     n = 1 << (2 * T - 2).bit_length()
-    spectrum = np.fft.rfft(pow2_scaled(x)[0], n=n, axis=-1)
+    spectrum = np.fft.rfft(x, n=n, axis=-1)
     return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=n, axis=-1)[..., :T]
 
 
-def spectral_peak(x, fs: float, band: tuple[float, float], nfft: int) -> np.ndarray:
-    """Frequency of the largest ``nfft``-point rFFT magnitude inside
-    ``band``, per series.
+def dominant_frequencies(x, fs: float, band: tuple[float, float],
+                         min_nfft: int = 8192) -> np.ndarray:
+    """Frequency of the largest zero-padded FFT magnitude within ``band``,
+    per series: the one spectral-peak search of the package.
 
-    ``x`` is one series or an ``(..., T)`` stack of them; each series
-    along the last axis is searched as if zero-padded to ``nfft`` points,
-    which must be at least T.  ``band`` is inclusive; a band above the
-    Nyquist frequency holds no bins and is a ConfigError.  Ties resolve
-    to the lower frequency because argmax returns the first maximum.
-    The result has shape ``x.shape[:-1]``.
+    ``x`` is one series or an ``(..., T)`` stack of them.  Each series is
+    divided by a power of two near its max ``|x|`` (``pow2_scaled``), so
+    no scale overflows or underflows the search, and mean-removed, so
+    zero-padding does not smear a DC offset across the spectrum.  A
+    constant series, one whose samples all equal its first, has no peak
+    (``ZeroSignal``), whether or not its mean rounds.  Each series is
+    searched as if zero-padded to ``nfft = max(min_nfft, T)`` points: the
+    default 8192 serves the spectral mask, and the HR estimates pass
+    2^14.  ``band`` is inclusive; a band above the Nyquist frequency holds
+    no bins and is a ConfigError.  Ties resolve to the lower frequency
+    because argmax returns the first maximum.  The result has shape
+    ``x.shape[:-1]``.
 
     Two routes give the zero-padded FFT's argmax up to rounding.  When
     the band's m bins times T is at most ``_MAX_TABLE_ENTRIES``, the
@@ -88,9 +92,12 @@ def spectral_peak(x, fs: float, band: tuple[float, float], nfft: int) -> np.ndar
     ``(T, nfft, band)``, so a stack and its single rows take the same one.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.any(x != x[..., :1], axis=-1)):
+        raise ZeroSignal("constant series has no spectral peak")
+    x = pow2_scaled(x)[0]
+    x = x - x.mean(axis=-1, keepdims=True)
     T = x.shape[-1]
-    if T > nfft:
-        raise ValueError(f"nfft {nfft} is shorter than the series ({T})")
+    nfft = max(min_nfft, T)
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
     bins = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
     if bins.size == 0:
@@ -106,29 +113,6 @@ def spectral_peak(x, fs: float, band: tuple[float, float], nfft: int) -> np.ndar
             peak[b:b + len(spectra)] = np.argmax(np.abs(spectra), axis=-1)
         peak = peak.reshape(x.shape[:-1])
     return freqs[k0:k0 + m][peak]
-
-
-def dominant_frequencies(x, fs: float, band: tuple[float, float],
-                         min_nfft: int = 8192) -> np.ndarray:
-    """Frequency of the largest zero-padded FFT magnitude within ``band``,
-    per series: the one entry point of every spectral-peak search.
-
-    ``x`` is one series or an ``(..., T)`` stack of them.  Each series is
-    divided by a power of two near its max ``|x|`` (``pow2_scaled``), so
-    no scale overflows or underflows the search, and mean-removed, so
-    zero-padding does not smear a DC offset across the spectrum.  A
-    constant series, one whose samples all equal its first, has no peak
-    (``ZeroSignal``), whether or not its mean rounds.  Each series is
-    searched by ``spectral_peak`` at ``max(min_nfft, T)`` points: the
-    default 8192 serves the spectral mask, and the HR estimates pass
-    2^14.  The result has shape ``x.shape[:-1]``.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.any(x != x[..., :1], axis=-1)):
-        raise ZeroSignal("constant series has no spectral peak")
-    x = pow2_scaled(x)[0]
-    x = x - x.mean(axis=-1, keepdims=True)
-    return spectral_peak(x, fs, band, max(min_nfft, x.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -162,25 +146,14 @@ def estimate_hr(pulse, band: tuple[float, float] = PULSE_BAND,
 
 def sliding_hr(samples, fs: float, win_s: float = 10.0, step_s: float = 1.0,
                band: tuple[float, float] = PULSE_BAND) -> list[tuple[float, float]]:
-    """Per-window HR estimates as (window center time, bpm) pairs.
+    """Per-window HR estimates as (window centre time, bpm) pairs.
 
-    Windows are ``round(win_s * fs)`` samples every ``round(step_s * fs)``;
-    a window's time is the centre of the samples it searched,
-    ``(i * step + win / 2) / fs`` in seconds from the first sample, as in
-    ``metrics.spectrogram``.  Each window is estimated as by
-    ``estimate_hr_series``; the window stack is searched by
-    ``dominant_frequencies`` in blocks of ``_BLOCK_ROWS`` rows.
+    The windows and their times are ``preprocess.window_stack``'s.  Each
+    window is estimated as by ``estimate_hr_series``; the window stack is
+    searched by ``dominant_frequencies`` in blocks of ``_BLOCK_ROWS`` rows.
     """
-    x = np.asarray(samples, dtype=float)
-    win = sample_count(win_s, fs)
-    step = sample_count(step_s, fs)
-    if win < 1 or step < 1:
-        raise ConfigError(f"window ({win}) and step ({step}) must be at least one sample")
-    if x.size < win:
-        raise SeriesTooShort(f"need at least {win_s} s of samples")
-    windows = sliding_window_view(x, win)[::step]
+    windows, times = window_stack(samples, win_s, step_s, fs)
     peaks = np.concatenate([dominant_frequencies(windows[b:b + _BLOCK_ROWS], fs, band,
                                                  _HR_MIN_NFFT)
                             for b in range(0, len(windows), _BLOCK_ROWS)])
-    times = (win / 2 + step * np.arange(len(peaks))) / fs
     return list(zip(times.tolist(), (60.0 * peaks).tolist()))

@@ -177,6 +177,13 @@ def load_trace_csv(path) -> RawTrace:
     return trace_from_rows(*read_csv(path))
 
 
+def write_csv(path, header: str, fmt: str, rows) -> None:
+    """The one CSV writer: ``header``, then a ``fmt % row`` line per row."""
+    line = fmt + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + "".join(line % row for row in rows))
+
+
 def save_trace_csv(trace: RawTrace, path) -> None:
     """Write a raw trace in the load_trace_csv format (lossless via repr).
 
@@ -184,9 +191,8 @@ def save_trace_csv(trace: RawTrace, path) -> None:
     ``# fs=30`` stays ``# fs=30`` for an int and never becomes
     ``# fs=np.float64(30.0)``."""
     fs = trace.fs.item() if isinstance(trace.fs, np.generic) else trace.fs
-    rows = (f"{i},{r!r},{g!r},{b!r}\n" for i, (r, g, b) in enumerate(trace.samples.tolist()))
-    with open(path, "w") as fh:
-        fh.write(f"# fs={fs!r}\n" + "".join(rows))
+    write_csv(path, f"# fs={fs!r}", "%d,%r,%r,%r",
+              ((i, *rgb) for i, rgb in enumerate(trace.samples.tolist())))
 
 
 _FRAME_SUFFIX = re.compile(r"_(\d+)(?:\.[^.]*)?$")

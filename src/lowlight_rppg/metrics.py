@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, PairingError, SeriesTooShort, ZeroSignal
-from .preprocess import PULSE_BAND, pow2_scaled, sample_count
+from .errors import ConfigError, PairingError, ZeroSignal
+from .preprocess import PULSE_BAND, pow2_scaled, window_stack
 from .reconstruct import periodic_hann
 
 SNR_CAP_DB = 60.0          # reported ceiling for zero-residual (pure tone) inputs
@@ -51,22 +50,24 @@ def cap_snr(value: float) -> float:
     return float(min(value, SNR_CAP_DB))
 
 
-def mae(est, ref) -> float:
-    """Mean absolute error in bpm."""
+def _errors(est, ref) -> np.ndarray:
+    """``est - ref`` for two sequences of one non-empty shape, else a
+    PairingError."""
     est = np.asarray(est, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if est.shape != ref.shape or est.size == 0:
         raise PairingError(f"length mismatch: {est.shape} vs {ref.shape}")
-    return float(np.mean(np.abs(est - ref)))
+    return est - ref
+
+
+def mae(est, ref) -> float:
+    """Mean absolute error in bpm."""
+    return float(np.mean(np.abs(_errors(est, ref))))
 
 
 def rmse(est, ref) -> float:
     """Root mean squared error in bpm."""
-    est = np.asarray(est, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    if est.shape != ref.shape or est.size == 0:
-        raise PairingError(f"length mismatch: {est.shape} vs {ref.shape}")
-    return float(np.sqrt(np.mean((est - ref) ** 2)))
+    return float(np.sqrt(np.mean(_errors(est, ref) ** 2)))
 
 
 def spectrum(series, fs: float):
@@ -84,28 +85,22 @@ def spectrogram(series, fs: float, win_s: float = 10.0, hop_s: float = 1.0,
 
     Returns (times, freqs, power) with power of shape (n_slices, n_freqs)
     and freqs limited to [0, max_freq] Hz.  The series is mean-removed and
-    cut into segments of ``round(win_s * fs)`` samples every
-    ``round(hop_s * fs)``; each segment loses its own mean, takes the
-    periodic Hann window ``w`` (``periodic_hann``) and gives
+    cut into ``preprocess.window_stack``'s windows, with ``hop_s`` the
+    step, which give the slice times; each segment loses its own mean,
+    takes the periodic Hann window ``w`` (``periodic_hann``) and gives
     ``|rfft|^2 / (sum w)^2``, doubled at every bin but DC and Nyquist.
-    Slice times are segment centres.  This is ``scipy.signal.spectrogram``
-    with ``window="hann"``, ``scaling="spectrum"`` and ``mode="psd"``, in
-    numpy.
+    This is ``scipy.signal.spectrogram`` with ``window="hann"``,
+    ``scaling="spectrum"`` and ``mode="psd"``, in numpy.
     """
     x = np.asarray(series, dtype=float)
-    nperseg = sample_count(win_s, fs)
-    step = sample_count(hop_s, fs)
-    if nperseg < 1 or step < 1:
-        raise ConfigError(f"window {win_s} s or hop {hop_s} s is under one sample at {fs} Hz")
-    if x.size < nperseg:
-        raise SeriesTooShort(f"need at least {win_s} s of samples")
-    segs = sliding_window_view(x - x.mean(), nperseg)[::step]
-    segs = segs - segs.mean(axis=1, keepdims=True)
+    segs, times = window_stack(x, win_s, hop_s, fs)
+    nperseg = segs.shape[1]
+    segs = segs - x.mean()
+    segs -= segs.mean(axis=1, keepdims=True)
     window = periodic_hann(nperseg)
     power = np.abs(np.fft.rfft(segs * window, axis=1)) ** 2 / window.sum() ** 2
     power[:, 1:(nperseg + 1) // 2] *= 2.0
     freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)
-    times = (nperseg / 2 + step * np.arange(len(segs))) / fs
     keep = freqs <= max_freq
     return times, freqs[keep], power[:, keep]
 

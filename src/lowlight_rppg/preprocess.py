@@ -40,6 +40,25 @@ def sample_count(seconds: float, fs: float) -> int:
     return int(round(n))
 
 
+def window_stack(x, win_s: float, step_s: float, fs: float):
+    """``(windows, times)``: the ``win = round(win_s * fs)``-sample windows
+    of the 1-D series ``x``, one every ``step = round(step_s * fs)``
+    samples, as a read-only view, and each window's centre,
+    ``(i * step + win / 2) / fs`` seconds from the first sample.  A window
+    or step under one sample is a ConfigError, a shorter series
+    SeriesTooShort."""
+    x = np.asarray(x, dtype=float)
+    win = sample_count(win_s, fs)
+    step = sample_count(step_s, fs)
+    if win < 1 or step < 1:
+        raise ConfigError(f"window {win_s} s or step {step_s} s is under one sample "
+                          f"at {fs} Hz")
+    if x.size < win:
+        raise SeriesTooShort(f"need at least {win_s} s of samples")
+    windows = sliding_window_view(x, win)[::step]
+    return windows, (win / 2 + step * np.arange(len(windows))) / fs
+
+
 def pow2_scaled(x, axis=-1):
     """``(x / 2**e, e)``, with ``2**e`` the power of two just above max
     ``|x|`` along ``axis`` (``None``: all of ``x``) and ``e`` kept

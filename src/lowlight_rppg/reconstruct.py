@@ -21,7 +21,7 @@ from .errors import (
 from .hr import dominant_frequencies
 from .ingest import RawTrace
 from .preprocess import (PULSE_BAND, DEFAULT_LAMBDA, bandpass, check_lambda, detrend,
-                         sample_count)
+                         pow2_scaled, sample_count)
 from .selection import DEFAULT_SEC_CHN, SIGMA_INIT, reference_sigmas, select_rows
 from .ssa import decompose_rows, default_window_length
 
@@ -237,7 +237,10 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     if T < win:
         raise TraceTooShort(f"trace has {T} samples, need at least {win}")
 
-    windows = sliding_window_view(trace.green(), win)[::step]
+    # Scaled by a power of two near max |x|, and the pulse back: exact, so
+    # no finite trace overflows or underflows a stage.
+    green, exponent = pow2_scaled(trace.green(), axis=None)
+    windows = sliding_window_view(green, win)[::step]
     every = hop // step  # every this many windows, one is emitted
     f_r = np.empty(len(windows))
     emitted_segs = []
@@ -271,4 +274,4 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
                                  fallback=fb, emitted=i % every == 0)
                     for i, (f, sigma, n, fb) in enumerate(zip(
                         f_r.tolist(), sigma_fr.tolist(), n_accepted.tolist(), fallback.tolist())))
-    return PulseWave(samples=samples, fs=fs, window_flags=records)
+    return PulseWave(samples=np.ldexp(samples, exponent), fs=fs, window_flags=records)

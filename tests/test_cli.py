@@ -183,6 +183,28 @@ class TestExtract:
         assert "Is a directory" in capsys.readouterr().err
         assert sorted(f.name for f in tmp_path.glob("p*")) == ["p.windows.json"]
 
+    def test_too_long_output_name_exit_2_before_any_work(self, tmp_path, clean_trace, capsys,
+                                                         monkeypatch):
+        # the pulse file name fits, the windows file name does not: extract
+        # used to run the pipeline, write the pulse file, then end in an
+        # "[Errno 36] File name too long" traceback
+        from lowlight_rppg import cli
+        read = []
+        monkeypatch.setattr(cli, "load_trace_csv", read.append)
+        out = tmp_path / ("x" * 250 + ".csv")
+        assert main(["extract", str(clean_trace), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File name too long" in err
+        assert read == [] and list(tmp_path.glob("x*")) == []
+
+    def test_output_check_leaves_existing_files_as_they_are(self, tmp_path, clean_trace):
+        out = tmp_path / "p.csv"
+        out.write_text("old")
+        (tmp_path / "p.windows.json").mkdir()
+        assert main(["extract", str(clean_trace), str(out)]) == 2
+        assert out.read_text() == "old"
+        assert sorted(f.name for f in tmp_path.glob("p*")) == ["p.csv", "p.windows.json"]
+
 
 def _per_value_fmt(v) -> str:
     # how every CSV field was formatted before the writers took row formats
@@ -619,6 +641,32 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Not a directory" in err and "Traceback" not in err
         assert read == [] and (tmp_path / "afile").read_text() == ""
+
+    @pytest.mark.parametrize("outdir", ["y" * 300, "new/" + "y" * 300],
+                             ids=["too-long", "too-long-under-a-new-directory"])
+    def test_too_long_outdir_exit_2_before_any_work(self, tmp_path, clean_trace, capsys,
+                                                    monkeypatch, outdir):
+        # analyze used to compute every result, then end in an "[Errno 36]
+        # File name too long" traceback from os.makedirs, which had made
+        # "new" by then
+        from lowlight_rppg import cli
+        read = []
+        monkeypatch.setattr(cli, "load_trace_csv", read.append)
+        assert main(["analyze", str(clean_trace), str(tmp_path / outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File name too long" in err
+        assert read == [] and sorted(f.name for f in tmp_path.iterdir()) == ["trace.csv"]
+
+    def test_unwritable_output_in_outdir_exit_2_before_any_work(self, tmp_path, clean_trace,
+                                                                capsys, monkeypatch):
+        from lowlight_rppg import cli
+        read = []
+        monkeypatch.setattr(cli, "load_trace_csv", read.append)
+        (tmp_path / "analysis" / "peaks.json").mkdir(parents=True)
+        assert main(["analyze", str(clean_trace), str(tmp_path / "analysis")]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert read == []
+        assert [f.name for f in (tmp_path / "analysis").iterdir()] == ["peaks.json"]
 
     def test_too_short_trace_writes_no_file(self, tmp_path):
         # an 8 s trace is shorter than the default 10 s window: analyze

@@ -15,7 +15,6 @@ from lowlight_rppg import (
     run_pipeline,
     select_rows,
     sliding_hr,
-    spectral_peak,
     spectrogram,
 )
 from lowlight_rppg.errors import ConfigError, SeriesTooShort, ZeroSignal
@@ -127,9 +126,10 @@ def test_spectral_peak_rows_match_single_series():
         freqs = np.fft.rfftfreq(8192, d=1.0 / FS)
         m = np.count_nonzero((freqs >= band[0]) & (freqs <= band[1]))
         assert (300 * m > hr._MAX_TABLE_ENTRIES) == fft_route
-        peaks = spectral_peak(x, FS, band, 8192)
+        peaks = dominant_frequencies(x, FS, band, 8192)
         assert peaks.shape == (40,)
-        assert [float(spectral_peak(row, FS, band, 8192)) for row in x] == peaks.tolist()
+        rows = [float(dominant_frequencies(row, FS, band, 8192)) for row in x]
+        assert rows == peaks.tolist()
         assert np.all(np.abs(peaks - f0) <= 0.05)
 
 
@@ -224,10 +224,10 @@ def band_bins(fs, nfft):
 def test_cosine_route_matches_fft_route(fs, T, nfft, monkeypatch):
     hr._cosine_table.cache_clear()
     stacks = search_stacks(fs, T)
-    cosine = [spectral_peak(x, fs, BAND, nfft) for x in stacks]
+    cosine = [dominant_frequencies(x, fs, BAND, nfft) for x in stacks]
     assert hr._cosine_table.cache_info().currsize == 1
     monkeypatch.setattr(hr, "_MAX_TABLE_ENTRIES", 0)
-    fft = [spectral_peak(x, fs, BAND, nfft) for x in stacks]
+    fft = [dominant_frequencies(x, fs, BAND, nfft) for x in stacks]
     for a, b in zip(cosine, fft):
         assert np.array_equal(a, b)
 
@@ -236,7 +236,7 @@ def test_cosine_route_matches_fft_route(fs, T, nfft, monkeypatch):
 def test_cosine_power_is_zero_padded_power(fs, T, nfft):
     k0, m = band_bins(fs, nfft)
     for x in search_stacks(fs, T, seed=1):
-        # max |x| = 0.75 per row, so the autocorrelation leaves rows unscaled
+        # max |x| = 0.75 per row, a scale as dominant_frequencies leaves rows
         x = 0.75 * x / np.max(np.abs(x), axis=1, keepdims=True)
         power = np.abs(np.fft.rfft(x, n=nfft, axis=1))**2
         cosine = hr._autocorrelation(x) @ hr._cosine_table(T, nfft, k0, m)
@@ -249,9 +249,9 @@ def test_cosine_power_is_zero_padded_power(fs, T, nfft):
 def test_extreme_scale_keeps_peak(cap, scale, monkeypatch):
     monkeypatch.setattr(hr, "_MAX_TABLE_ENTRIES", cap)
     x = np.sin(2 * np.pi * 1.3 * np.arange(300) / FS)
-    unscaled = float(spectral_peak(x, FS, BAND, 8192))
+    unscaled = float(dominant_frequencies(x, FS, BAND, 8192))
     assert abs(unscaled - 1.3) <= FS / 8192
-    assert float(spectral_peak(scale * x, FS, BAND, 8192)) == unscaled
+    assert float(dominant_frequencies(scale * x, FS, BAND, 8192)) == unscaled
 
 
 @pytest.mark.parametrize("cap", [hr._MAX_TABLE_ENTRIES, 0], ids=["cosine", "fft"])
