@@ -211,6 +211,8 @@ def cmd_analyze(args) -> int:
     written, so a processing error leaves none."""
     from . import baseline, metrics
     config = _pipeline_config(args)
+    if not args.outdir:
+        raise ConfigError("outdir must name a directory, got ''")
     outputs = [os.path.join(args.outdir, name)
                for name in ("spectrum.csv", "spectrogram.csv", "peaks.json")]
     _check_output_dir(args.outdir, outputs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
 import threading
 from dataclasses import dataclass
@@ -31,38 +32,25 @@ from .ssa import decompose_rows, default_window_length
 # the trace length.
 _BLOCK_ROWS = 64
 
-# The variables OpenBLAS reads its thread count from when it loads, in
-# the order it reads them.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# OpenBLAS's thread-count getters, found through numpy's LAPACK module, which
+# links its BLAS.  With more BLAS threads per call, window threads oversubscribe
+# the cores; with no getter (MKL, Accelerate, Windows, whose loader does not
+# search a module's dependencies) the count is unknown, so there are none.
+_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_", "openblas_get_num_threads")
 
 
-def helper_count(environ, blas_name: str, cores: int) -> int:
-    """How many threads besides the caller ``run_pipeline`` may run the
-    emitted windows on: ``cores - 1`` when numpy's BLAS is OpenBLAS and the
-    first of ``_BLAS_THREAD_VARS`` set (non-empty) in ``environ`` is 1, so
-    that every BLAS call runs on one thread; else 0.  With more BLAS
-    threads per call, window threads oversubscribe the cores (18-82%
-    slower on two).
-    """
-    if "openblas" not in blas_name.lower():
-        return 0
-    value = next((environ[v] for v in _BLAS_THREAD_VARS if environ.get(v)), "")
-    return cores - 1 if value.strip() == "1" else 0
-
-
-def _blas_name() -> str:
-    """The name of numpy's BLAS library, or "" where numpy does not say."""
-    try:
-        config = np.show_config(mode="dicts")
-    except TypeError:  # a numpy that only prints its build config
-        return ""
-    return str(config.get("Build Dependencies", {}).get("blas", {}).get("name", ""))
+def _openblas_threads(lib):
+    """The first of ``_GETTERS`` in ``lib``, as ``int f(void)``, or None."""
+    getter = next((getattr(lib, name) for name in _GETTERS if hasattr(lib, name)), None)
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
 
 
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
-# Decided once: OpenBLAS reads its variables once, when numpy loads it.
-_HELPERS = helper_count(os.environ, _blas_name(), _CORES)
+_blas_threads = _openblas_threads(ctypes.CDLL(np.linalg._umath_linalg.__file__))
 
 
 def fuse_rows(components, freqs, accepted, f_r, sigma_fr) -> np.ndarray:
@@ -70,16 +58,23 @@ def fuse_rows(components, freqs, accepted, f_r, sigma_fr) -> np.ndarray:
     ``accepted`` marks, with weights w(f_p) =
     exp(-(f_p - f_r)^2 / 2 sigma_fr^2) taken in log space relative to the
     best-matching component, so far-off candidates underflow to zero
-    weight instead of producing 0/0.  Every row must accept a component
-    (``NoAcceptedComponents``) and every ``sigma_fr`` must be positive
-    (``ValueError``), since either would make the row NaN.
+    weight instead of producing 0/0; a row whose every accepted exponent
+    overflows to -inf (a tiny sigma) takes the sigma -> 0 limit, the mean
+    of its accepted components nearest ``f_r``.  Every row must accept a
+    component (``NoAcceptedComponents``) and every ``sigma_fr`` must be
+    positive (``ValueError``), since either would make the row NaN.
     """
     f_r, sigma_fr = np.asarray(f_r)[:, None], np.asarray(sigma_fr)[:, None]
     if not np.all(np.any(accepted, axis=1)):
         raise NoAcceptedComponents("every window needs at least one accepted component")
     if not np.all(sigma_fr > 0):
         raise ValueError(f"sigma_fr must be positive, got {np.min(sigma_fr)}")
-    exponents = np.where(accepted, -0.5 * ((freqs - f_r) / sigma_fr) ** 2, -np.inf)
+    with np.errstate(over="ignore"):  # -inf exponents, handled below
+        exponents = np.where(accepted, -0.5 * ((freqs - f_r) / sigma_fr) ** 2, -np.inf)
+    limit = np.isneginf(exponents.max(axis=1))
+    if limit.any():
+        distance = np.where(accepted[limit], np.abs(freqs[limit] - f_r[limit]), np.inf)
+        exponents[limit] = np.where(distance == distance.min(axis=1, keepdims=True), 0.0, -np.inf)
     w = np.exp(exponents - exponents.max(axis=1, keepdims=True))
     return (w[..., None] * components).sum(axis=1) / w.sum(axis=1, keepdims=True)
 
@@ -214,8 +209,8 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     tracking; emitting every window would break the constant-overlap-add
     normalization.
 
-    Called from the main thread, with numpy's BLAS on one thread per call
-    (``helper_count``), the emitted windows of each block are split into
+    Called from the main thread while OpenBLAS reports one thread per call
+    (asked at each call), the emitted windows of each block are split into
     contiguous parts, one per core: the caller takes the first and a new
     thread each of the others.  No window's result depends on the others
     in its block, so the output is byte-identical to that of one part.
@@ -264,7 +259,8 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
         n_acc[:] = accepted.sum(axis=1)
         return fuse_rows(comps, freqs, accepted, f, sigma)
 
-    parts = 1 + (_HELPERS if threading.current_thread() is threading.main_thread() else 0)
+    parts = (_CORES if threading.current_thread() is threading.main_thread()
+             and _blas_threads is not None and _blas_threads() == 1 else 1)
     samples = np.zeros((len(emitted_segs) + 1) * hop)
     for c in range(0, len(emitted_segs), _BLOCK_ROWS):
         stop = min(c + _BLOCK_ROWS, len(emitted_segs))

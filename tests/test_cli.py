@@ -657,6 +657,19 @@ class TestAnalyze:
         assert err.startswith("error: ") and "File name too long" in err
         assert read == [] and sorted(f.name for f in tmp_path.iterdir()) == ["trace.csv"]
 
+    def test_empty_outdir_exit_2_before_any_work(self, tmp_path, clean_trace, capsys,
+                                                 monkeypatch):
+        # analyze used to compute every result, then end in "[Errno 2] No
+        # such file or directory: ''" from os.makedirs
+        from lowlight_rppg import cli
+        read = []
+        monkeypatch.setattr(cli, "load_trace_csv", read.append)
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", str(clean_trace), ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "outdir" in err
+        assert read == [] and sorted(f.name for f in tmp_path.iterdir()) == ["trace.csv"]
+
     def test_unwritable_output_in_outdir_exit_2_before_any_work(self, tmp_path, clean_trace,
                                                                 capsys, monkeypatch):
         from lowlight_rppg import cli

@@ -92,6 +92,31 @@ class TestFuseWindow:
         out = fuse([np.ones(5), np.full(5, 2.0)], [3.9, 3.8], 1.2, 0.01)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sigma_takes_the_nearest_accepted_components(self):
+        # at sigma 1e-300 every offset squares to inf: such rows used to be
+        # -inf - -inf = NaN.  Now they take the sigma -> 0 limit, the mean
+        # of the accepted components nearest f_r: row 0 the two at 1.25
+        # (0.75 is as near but not accepted), row 1 a harmonic match alone;
+        # row 2, with a component at f_r, keeps its finite exponents
+        comps = np.broadcast_to(np.array([1.0, 2.0, 4.0, 8.0])[:, None], (3, 4, 5))
+        freqs = np.array([[0.5, 1.25, 0.75, 1.25], [2.0, 0.5, np.inf, np.inf],
+                          [1.0, 1.25, np.inf, np.inf]])
+        accepted = np.array([[True, True, False, True], [True, False, False, False],
+                             [True, True, False, False]])
+        out = fuse_rows(comps, freqs, accepted, [1.0] * 3, [1e-300] * 3)
+        assert out.tolist() == [[5.0] * 5, [1.0] * 5, [1.0] * 5]
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_sigma_init_gives_a_finite_pulse(self):
+        # extract with --sigma-init 1e-300 used to write the first
+        # window's 300 samples as nan and report the band's lower edge
+        trace = generate(SynthConfig(duration_s=20.0, noise_rms=(3.0,) * 3, seed=1))
+        tiny = run_pipeline(trace, PipelineConfig(sigma_init=1e-300))
+        small = run_pipeline(trace, PipelineConfig(sigma_init=1e-150))
+        assert np.all(np.isfinite(tiny.samples))
+        assert tiny.samples.tobytes() == small.samples.tobytes()
+
     def test_empty_list(self):
         with pytest.raises(NoAcceptedComponents):
             fuse_rows(np.ones((1, 2, 4)), np.array([[1.2, 1.3]]), np.zeros((1, 2), bool),

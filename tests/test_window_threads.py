@@ -1,10 +1,12 @@
 """run_pipeline's emitted windows split over threads: the gate, and the
 same output, errors and numpy error state as one part on the caller."""
 
+import ctypes
 import os
 import subprocess
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -12,31 +14,130 @@ import pytest
 import lowlight_rppg
 from lowlight_rppg import PipelineConfig, SynthConfig, generate, reconstruct, run_pipeline
 from lowlight_rppg.errors import NoComponents
-from lowlight_rppg.reconstruct import helper_count
 
-CORES = 8
+CORES = reconstruct._CORES
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(lowlight_rppg.__file__)))
+# this environment without the variables OpenBLAS reads its thread count from
+CLEAN_ENV = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+needs_openblas = pytest.mark.skipif(reconstruct._blas_threads is None,
+                                    reason="numpy's BLAS exports no OpenBLAS getter")
 
 
-@pytest.mark.parametrize("environ, blas, helpers", [
-    ({}, "scipy-openblas", 0),
-    ({"OPENBLAS_NUM_THREADS": "1"}, "scipy-openblas", CORES - 1),
-    ({"OMP_NUM_THREADS": "1"}, "openblas64", CORES - 1),
-    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, "openblas", CORES - 1),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "scipy-openblas", 0),
-    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, "scipy-openblas", CORES - 1),
-    ({"OPENBLAS_NUM_THREADS": " 1 "}, "scipy-openblas", CORES - 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, "mkl-sdl", 0),
-    ({"OPENBLAS_NUM_THREADS": "1"}, "accelerate", 0),
-    ({"OPENBLAS_NUM_THREADS": "1"}, "", 0),
+def _force_parts(monkeypatch, parts):
+    """Make run_pipeline on the main thread use ``parts`` parts."""
+    monkeypatch.setattr(reconstruct, "_CORES", parts)
+    monkeypatch.setattr(reconstruct, "_blas_threads", lambda: 1)
+
+
+@pytest.fixture
+def parts_used(monkeypatch):
+    """The part count of every block the test's run_pipeline calls split."""
+    used = []
+    real = reconstruct._run_parts
+
+    def run_parts(func, start, stop, parts):
+        used.append(parts)
+        return real(func, start, stop, parts)
+    monkeypatch.setattr(reconstruct, "_run_parts", run_parts)
+    return used
+
+
+def _in_new_process(environ, before_import=""):
+    """OpenBLAS's thread count (None without a getter) and the part counts
+    of one run_pipeline call (3 emitted windows) in a new Python started
+    with ``environ`` and no other OpenBLAS variable, which runs
+    ``before_import`` before it imports lowlight_rppg."""
+    code = f"""
+import sys
+sys.path.insert(0, {SRC!r})
+{before_import}
+from lowlight_rppg import SynthConfig, generate, reconstruct, run_pipeline
+used = []
+real = reconstruct._run_parts
+reconstruct._run_parts = lambda func, a, b, parts: (used.append(parts), real(func, a, b, parts))[1]
+run_pipeline(generate(SynthConfig(duration_s=20.0)))
+print(reconstruct._blas_threads and reconstruct._blas_threads(), *used)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env={**CLEAN_ENV, **environ},
+                         capture_output=True, text=True, check=True).stdout
+    threads, *parts = out.split()
+    return (None if threads == "None" else int(threads)), [int(p) for p in parts]
+
+
+@pytest.mark.parametrize("environ, lib, helpers", [
+    ({}, None, 0),
+    ({"OPENBLAS_NUM_THREADS": "1"}, None, CORES - 1),
+    ({"OMP_NUM_THREADS": "1"}, None, CORES - 1),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, None, CORES - 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, None, 0),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, None, CORES - 1),
+    ({"OPENBLAS_NUM_THREADS": " 1 "}, None, CORES - 1),
+    ({}, ("MKL_Get_Max_Threads",), 0),
+    ({}, ("BLASGetThreading",), 0),
+    ({}, (), 0),
 ], ids=["nothing-set", "openblas-1", "omp-1-only", "goto-before-omp",
         "openblas-2-before-omp-1", "empty-is-unset", "padded-1", "mkl", "accelerate",
         "unknown-blas"])
-def test_helper_count(environ, blas, helpers):
-    assert helper_count(environ, blas, CORES) == helpers
+def test_helper_count(monkeypatch, parts_used, environ, lib, helpers):
+    # threads besides the caller: with numpy's OpenBLAS in a process
+    # started with ``environ`` (OpenBLAS reads the first of its variables
+    # that is set), or none with a BLAS that exports only the getters
+    # named in ``lib``
+    if lib is None:
+        if reconstruct._blas_threads is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS getter")
+        assert _in_new_process(environ)[1] == [helpers + 1]
+    else:
+        fake = types.SimpleNamespace(**{name: lambda: 1 for name in lib})
+        monkeypatch.setattr(reconstruct, "_blas_threads", reconstruct._openblas_threads(fake))
+        assert reconstruct._blas_threads is None
+        run_pipeline(_trace(30.0, 60.0))
+        assert parts_used == [helpers + 1]
 
 
-def test_one_core_has_no_helper():
-    assert helper_count({"OPENBLAS_NUM_THREADS": "1"}, "scipy-openblas", 1) == 0
+def test_one_core_has_no_helper(monkeypatch, parts_used):
+    _force_parts(monkeypatch, 1)
+    run_pipeline(_trace(30.0, 60.0))
+    assert parts_used == [1]
+
+
+@needs_openblas
+def test_variable_set_after_numpy_loads_starts_no_helper():
+    # OpenBLAS read its variables when numpy loaded it, so it keeps its
+    # default threads (one per core) and the windows run on the caller
+    before = "import os, numpy\nos.environ['OPENBLAS_NUM_THREADS'] = '1'"
+    assert _in_new_process({}, before)[1] == [1]
+
+
+@needs_openblas
+def test_threads_set_at_run_time_gate_the_next_call(parts_used):
+    getter = reconstruct._blas_threads
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    setter = getattr(lib, getter.__name__.replace("_get_", "_set_"))
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    trace = _trace(30.0, 20.0)
+    threads = getter()
+    try:
+        for n in (1, 2):
+            setter(n)
+            assert getter() == n
+            run_pipeline(trace)
+    finally:
+        setter(threads)
+    assert parts_used == [CORES, 1]
+
+
+def test_getter_found_where_numpy_names_openblas():
+    # guards the threaded path of a run with OPENBLAS_NUM_THREADS=1
+    # exported against a getter that is no longer found
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy that only prints its build config
+        pytest.skip("numpy does not name its BLAS")
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}")
+    assert _in_new_process({"OPENBLAS_NUM_THREADS": "1"}) == (1, [CORES])
 
 
 def _trace(fs, duration_s, hr_bpm=84.0, seed=13):
@@ -58,10 +159,10 @@ def _emitted(pulse):
 @pytest.mark.parametrize("helpers", [1, 2])
 def test_threaded_output_is_byte_identical(monkeypatch, fs, duration_s, emitted, helpers):
     trace = _trace(fs, duration_s)
-    monkeypatch.setattr(reconstruct, "_HELPERS", 0)
+    _force_parts(monkeypatch, 1)
     inline = run_pipeline(trace)
     assert _emitted(inline) == emitted
-    monkeypatch.setattr(reconstruct, "_HELPERS", helpers)
+    _force_parts(monkeypatch, 1 + helpers)
     threaded = run_pipeline(trace)
     assert threaded.samples.tobytes() == inline.samples.tobytes()
     assert threaded.window_flags == inline.window_flags
@@ -71,9 +172,9 @@ def test_more_parts_than_cores_with_frequent_switches(monkeypatch):
     # six threads writing the flags of neighbouring windows, switching
     # every 10 us: a lost or misplaced write would change the records
     trace = _trace(30.0, 360.0)
-    monkeypatch.setattr(reconstruct, "_HELPERS", 0)
+    _force_parts(monkeypatch, 1)
     inline = run_pipeline(trace)
-    monkeypatch.setattr(reconstruct, "_HELPERS", 5)
+    _force_parts(monkeypatch, 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -87,7 +188,7 @@ def test_more_parts_than_cores_with_frequent_switches(monkeypatch):
 @pytest.fixture
 def threads_started(monkeypatch):
     """Force one helper; every thread started off the main thread fails."""
-    monkeypatch.setattr(reconstruct, "_HELPERS", 1)
+    _force_parts(monkeypatch, 2)
     started = []
     real = threading.Thread
 
@@ -117,7 +218,7 @@ def test_non_main_thread_starts_no_thread(threads_started):
 
 
 def test_main_thread_starts_helpers(monkeypatch):
-    monkeypatch.setattr(reconstruct, "_HELPERS", 1)
+    _force_parts(monkeypatch, 2)
     names = []
     real = reconstruct.decompose_rows
 
@@ -159,8 +260,8 @@ def test_errors_cross_the_thread_boundary(monkeypatch, rule):
     monkeypatch.setattr(reconstruct, "select_rows", select_rows)
     trace = _hr_step_trace()
     errors = []
-    for helpers in (0, 1):
-        monkeypatch.setattr(reconstruct, "_HELPERS", helpers)
+    for parts in (1, 2):
+        _force_parts(monkeypatch, parts)
         with pytest.raises(NoComponents) as exc:
             run_pipeline(trace)
         errors.append(str(exc.value))
@@ -172,7 +273,7 @@ def test_errors_cross_the_thread_boundary(monkeypatch, rule):
 
 
 def test_helpers_see_the_callers_errstate(monkeypatch):
-    monkeypatch.setattr(reconstruct, "_HELPERS", 1)
+    _force_parts(monkeypatch, 2)
     seen = []
     real = reconstruct.fuse_rows
 
@@ -193,31 +294,29 @@ def test_extract_files_match_with_blas_pinned_or_not(tmp_path):
     # files are those of the default setting, and it loads no thread pool
     trace = tmp_path / "trace.csv"
     lowlight_rppg.save_trace_csv(_trace(30.0, 60.0), trace)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lowlight_rppg.__file__)))
     code = f"""
 import sys, threading
-sys.path.insert(0, {src!r})
+sys.path.insert(0, {SRC!r})
 started = []
 start = threading.Thread.start
 threading.Thread.start = lambda self: (started.append(self), start(self))[1]
 from lowlight_rppg import cli, reconstruct
 code = cli.main(["extract", {str(trace)!r}, sys.argv[1]])
-print(code, reconstruct._HELPERS, len(started), "concurrent.futures" in sys.modules)
+print(code, reconstruct._blas_threads is not None, len(started),
+      "concurrent.futures" in sys.modules)
 """
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     files = {}
     for name, extra in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
         out = tmp_path / name / "pulse.csv"
         out.parent.mkdir()
-        result = subprocess.run([sys.executable, "-c", code, str(out)], env={**env, **extra},
+        result = subprocess.run([sys.executable, "-c", code, str(out)], env={**CLEAN_ENV, **extra},
                                 capture_output=True, text=True, check=True).stdout.split()
-        code_, helpers, started, pool_loaded = result
+        code_, found, started, pool_loaded = result
         assert (code_, pool_loaded) == ("0", "False")
         if name == "unset":
-            assert (helpers, started) == ("0", "0")
+            assert started == "0"
         else:
-            assert int(started) == min(int(helpers), 11 - 1)
+            assert int(started) == (min(CORES, 11) - 1 if found == "True" else 0)
         files[name] = {f.name: f.read_bytes() for f in out.parent.iterdir()}
     assert sorted(files["unset"]) == ["pulse.csv", "pulse.hr.json", "pulse.windows.json"]
     assert files["unset"] == files["pinned"]
