@@ -15,13 +15,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import ConfigError, InvalidHeader, PairingError, ParseError, RppgError
 from .hr import estimate_hr, estimate_hr_series, sliding_hr
-from .ingest import (check_width, header_fs, load_trace_csv, read_csv, save_trace_csv,
-                     trace_from_rows, write_csv)
-from .reconstruct import PipelineConfig, PulseWave, run_pipeline
+from .ingest import (RawTrace, load_pulse_or_trace, load_reference_csv, load_trace_csv,
+                     save_pulse_csv, save_trace_csv, write_csv)
+from .reconstruct import PipelineConfig, run_pipeline
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -79,29 +77,6 @@ def _add_pipeline_flags(parser, ssa: bool = True) -> None:
         parser.add_argument("--sigma-init", type=float, default=default.sigma_init)
 
 
-def save_pulse_csv(pulse: PulseWave, path) -> None:
-    write_csv(path, "# fs=%.6g" % pulse.fs, "%d,%.6g", enumerate(pulse.samples.tolist()))
-
-
-def pulse_from_rows(headers, rows: np.ndarray) -> PulseWave:
-    """A pulse from ``read_csv``'s output for an ``index,value`` pulse file."""
-    fs = header_fs(headers)
-    check_width(rows, 2)
-    if not len(rows):
-        raise ParseError("pulse file has no data rows")
-    return PulseWave(samples=rows[:, 1], fs=fs)
-
-
-def load_reference_csv(path) -> list[tuple[float, float]]:
-    """Reference HR CSV: ``t_seconds,bpm`` rows, ``#`` comments allowed.
-    A NaN or infinite value is a ParseError naming its line."""
-    _, rows = read_csv(path)
-    check_width(rows, 2)
-    if not len(rows):
-        raise ParseError("reference file has no data rows")
-    return [(t, bpm) for t, bpm in rows.tolist()]
-
-
 def _check_output_files(*paths) -> None:
     """Raise the OSError that writing ``paths`` would, before any work.
     Each path is created and removed again, or, if it exists, opened for
@@ -154,19 +129,15 @@ def cmd_evaluate(args) -> int:
     from . import metrics
     config = _pipeline_config(args)
     _check_output_files(args.report)
-    headers, rows = read_csv(args.input)
-    if not len(rows):
-        raise ParseError("file has no data rows")
-    if rows.shape[1] == 4:
-        pulse = run_pipeline(trace_from_rows(headers, rows), config)
-    elif rows.shape[1] == 2:
-        pulse = pulse_from_rows(headers, rows)
-    else:
-        raise ParseError(f"cannot identify input with {rows.shape[1]} fields per row")
+    signal = load_pulse_or_trace(args.input)
+    if isinstance(signal, RawTrace):
+        pulse = run_pipeline(signal, config)
+        signal = pulse.samples, pulse.fs
+    samples, fs = signal
     ref = load_reference_csv(args.reference)
-    est = sliding_hr(pulse.samples, pulse.fs, win_s=config.window_s,
-                     step_s=config.step_s, band=config.band)
-    report = metrics.evaluate(pulse.samples, pulse.fs, est, ref)
+    est = sliding_hr(samples, fs, win_s=config.window_s, step_s=config.step_s,
+                     band=config.band)
+    report = metrics.evaluate(samples, fs, est, ref)
     _write_json(args.report, report.to_dict())
     return EXIT_OK
 

@@ -108,10 +108,6 @@ class WindowSpacingError(RppgError):
     """Overlap-add windows are not spaced exactly one hop apart."""
 
 
-class TraceTooShort(RppgError):
-    """Trace shorter than one analysis window."""
-
-
 # --- evaluation ---
 
 class PairingError(RppgError):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SeriesTooShort, ZeroSignal
+from .errors import ConfigError, NonFiniteInput, SeriesTooShort, ZeroSignal
 from .preprocess import PULSE_BAND, pow2_scaled, sample_count, window_stack
 
 # Zero-pad target of the HR estimates: <= 0.11 bpm resolution at fs = 30 Hz.
@@ -72,7 +72,8 @@ def dominant_frequencies(x, fs: float, band: tuple[float, float],
     ``x`` is one series or an ``(..., T)`` stack of them.  Each series is
     divided by a power of two near its max ``|x|`` (``pow2_scaled``), so
     no scale overflows or underflows the search, and mean-removed, so
-    zero-padding does not smear a DC offset across the spectrum.  A
+    zero-padding does not smear a DC offset across the spectrum.  A series
+    holding a NaN or infinity has no peak (``NonFiniteInput``); a
     constant series, one whose samples all equal its first, has no peak
     (``ZeroSignal``), whether or not its mean rounds.  Each series is
     searched as if zero-padded to ``nfft = max(min_nfft, T)`` points: the
@@ -92,6 +93,8 @@ def dominant_frequencies(x, fs: float, band: tuple[float, float],
     ``(T, nfft, band)``, so a stack and its single rows take the same one.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("dominant_frequencies input contains NaN or inf")
     if not np.all(np.any(x != x[..., :1], axis=-1)):
         raise ZeroSignal("constant series has no spectral peak")
     x = pow2_scaled(x)[0]

@@ -1,4 +1,5 @@
-"""Raw trace assembly from ROI pixel data or pre-extracted CSV traces.
+"""Raw trace assembly from ROI pixel data or pre-extracted CSV traces,
+and the package's file formats: trace, ROI, pulse and reference CSVs.
 
 The measurement trace is stored time-major (T x 3, columns R, G, B).
 """
@@ -151,19 +152,26 @@ def header_fs(headers) -> float:
     return fs
 
 
-def check_width(rows: np.ndarray, n_fields: int) -> None:
-    """ParseError unless ``read_csv``'s rows, if any, have ``n_fields`` fields."""
+def checked_rows(rows: np.ndarray, n_fields: int, least: int, what: str) -> np.ndarray:
+    """``read_csv``'s rows of a ``what`` file, or a ParseError unless they
+    are at least ``least`` rows of ``n_fields`` fields each."""
     if len(rows) and rows.shape[1] != n_fields:
-        raise ParseError(f"expected {n_fields} fields, got {rows.shape[1]}")
+        raise ParseError(f"a {what} file has {n_fields} fields per row, got {rows.shape[1]}")
+    if len(rows) < least:
+        raise ParseError(f"{what} file has {len(rows) or 'no'} data rows, needs {least} or more")
+    return rows
 
 
 def trace_from_rows(headers, rows: np.ndarray) -> RawTrace:
     """A raw trace from ``read_csv``'s output for a trace file."""
     fs = header_fs(headers)
-    check_width(rows, 4)
-    if len(rows) < 2:
-        raise ParseError("trace must contain at least 2 rows")
-    return RawTrace(samples=rows[:, 1:], fs=fs)
+    return RawTrace(samples=checked_rows(rows, 4, 2, "trace")[:, 1:], fs=fs)
+
+
+def pulse_from_rows(headers, rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(samples, fs)`` from ``read_csv``'s output for a pulse file."""
+    fs = header_fs(headers)
+    return checked_rows(rows, 2, 1, "pulse")[:, 1], fs
 
 
 def load_trace_csv(path) -> RawTrace:
@@ -175,6 +183,23 @@ def load_trace_csv(path) -> RawTrace:
     sample.
     """
     return trace_from_rows(*read_csv(path))
+
+
+def load_pulse_or_trace(path):
+    """The input of ``evaluate``: a trace file (``frame_index,r,g,b``
+    rows) as a RawTrace, any other as a pulse file (``# fs=<float>``, then
+    ``index,value`` rows) as ``(samples, fs)``."""
+    headers, rows = read_csv(path)
+    if rows.shape[1:] == (4,):
+        return trace_from_rows(headers, rows)
+    return pulse_from_rows(headers, rows)
+
+
+def load_reference_csv(path) -> list[tuple[float, float]]:
+    """Reference HR CSV: ``t_seconds,bpm`` rows, ``#`` comments allowed.
+    A NaN or infinite value is a ParseError naming its line."""
+    rows = checked_rows(read_csv(path)[1], 2, 1, "reference")
+    return [(t, bpm) for t, bpm in rows.tolist()]
 
 
 def write_csv(path, header: str, fmt: str, rows) -> None:
@@ -195,6 +220,13 @@ def save_trace_csv(trace: RawTrace, path) -> None:
               ((i, *rgb) for i, rgb in enumerate(trace.samples.tolist())))
 
 
+def save_pulse_csv(pulse, path) -> None:
+    """Write a pulse (a PulseWave, or any object with ``samples`` and
+    ``fs``) as ``# fs=<fs>`` and ``index,value`` rows, at 6 significant
+    digits."""
+    write_csv(path, "# fs=%.6g" % pulse.fs, "%d,%.6g", enumerate(pulse.samples.tolist()))
+
+
 _FRAME_SUFFIX = re.compile(r"_(\d+)(?:\.[^.]*)?$")
 
 
@@ -202,7 +234,8 @@ def load_roi_frames(directory) -> list[RoiFrame]:
     """Load per-frame ROI pixel files from a directory.
 
     Each file holds one ``r,g,b`` line per pixel; the frame index comes
-    from the ``_NNNNN`` filename suffix.
+    from the ``_NNNNN`` filename suffix.  A file with no pixels is
+    EmptyRoi (``RoiFrame``).
     """
     frames = []
     for name in sorted(os.listdir(directory)):
@@ -210,12 +243,9 @@ def load_roi_frames(directory) -> list[RoiFrame]:
         if not m:
             continue
         try:
-            _, pixels = read_csv(os.path.join(directory, name))
-            check_width(pixels, 3)
+            pixels = checked_rows(read_csv(os.path.join(directory, name))[1], 3, 0, "ROI")
         except ParseError as exc:
             raise ParseError(f"{name}: {exc}") from None
-        if not len(pixels):
-            raise EmptyRoi(f"{name}: no pixels")
         frames.append(RoiFrame(frame_index=int(m.group(1)), pixels=pixels))
     frames.sort(key=lambda f: f.frame_index)
     return frames

@@ -13,6 +13,8 @@ from .reconstruct import periodic_hann
 SNR_CAP_DB = 60.0          # reported ceiling for zero-residual (pure tone) inputs
 FUND_HALFWIDTH_HZ = 0.1    # signal band around the HR fundamental
 HARM_HALFWIDTH_HZ = 0.2    # signal band around the first harmonic
+SPECTROGRAM_MAX_HZ = 5.0   # spectrogram rows stop here, for plotting
+PAIR_TOL_S = 0.5           # an estimate's reference is at most this far off
 
 
 def snr(series, fs: float, hr_ref_bpm: float) -> float:
@@ -79,16 +81,16 @@ def spectrum(series, fs: float):
     return freqs, power
 
 
-def spectrogram(series, fs: float, win_s: float = 10.0, hop_s: float = 1.0,
-                max_freq: float = 5.0):
+def spectrogram(series, fs: float, win_s: float = 10.0, hop_s: float = 1.0):
     """Hann-windowed short-time FFT power, band-limited for plotting.
 
     Returns (times, freqs, power) with power of shape (n_slices, n_freqs)
-    and freqs limited to [0, max_freq] Hz.  The series is mean-removed and
-    cut into ``preprocess.window_stack``'s windows, with ``hop_s`` the
-    step, which give the slice times; each segment loses its own mean,
-    takes the periodic Hann window ``w`` (``periodic_hann``) and gives
-    ``|rfft|^2 / (sum w)^2``, doubled at every bin but DC and Nyquist.
+    and freqs limited to [0, SPECTROGRAM_MAX_HZ] Hz.  The series is
+    mean-removed and cut into ``preprocess.window_stack``'s windows, with
+    ``hop_s`` the step, which give the slice times; each segment loses its
+    own mean, takes the periodic Hann window ``w`` (``periodic_hann``) and
+    gives ``|rfft|^2 / (sum w)^2``, doubled at every bin but DC and
+    Nyquist.
     This is ``scipy.signal.spectrogram`` with ``window="hann"``,
     ``scaling="spectrum"`` and ``mode="psd"``, in numpy.
     """
@@ -101,14 +103,14 @@ def spectrogram(series, fs: float, win_s: float = 10.0, hop_s: float = 1.0,
     power = np.abs(np.fft.rfft(segs * window, axis=1)) ** 2 / window.sum() ** 2
     power[:, 1:(nperseg + 1) // 2] *= 2.0
     freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)
-    keep = freqs <= max_freq
+    keep = freqs <= SPECTROGRAM_MAX_HZ
     return times, freqs[keep], power[:, keep]
 
 
-def pair_by_timestamp(est_windows, ref_windows, tol_s: float = 0.5):
+def pair_by_timestamp(est_windows, ref_windows):
     """Pair (t, bpm) estimates with references by nearest timestamp.
 
-    Every estimate must find a reference within ``tol_s`` seconds,
+    Every estimate must find a reference within ``PAIR_TOL_S`` seconds,
     otherwise a PairingError is raised; a NaN time is never within it.
     """
     if not est_windows or not ref_windows:
@@ -118,8 +120,8 @@ def pair_by_timestamp(est_windows, ref_windows, tol_s: float = 0.5):
     pairs = []
     for t, v in est_windows:
         i = int(np.argmin(np.abs(ref_t - t)))
-        if not abs(ref_t[i] - t) <= tol_s:
-            raise PairingError(f"no reference within {tol_s} s of t={t:.2f} s")
+        if not abs(ref_t[i] - t) <= PAIR_TOL_S:
+            raise PairingError(f"no reference within {PAIR_TOL_S} s of t={t:.2f} s")
         pairs.append((float(t), float(v), float(ref_v[i])))
     return pairs
 
@@ -144,14 +146,13 @@ class EvalReport:
         }
 
 
-def evaluate(signal, fs: float, est_windows, ref_windows,
-             tol_s: float = 0.5) -> EvalReport:
+def evaluate(signal, fs: float, est_windows, ref_windows) -> EvalReport:
     """Build an EvalReport for a signal and per-window HR estimates.
 
     The SNR reference frequency is the mean of the paired reference HR
     values; the reported SNR is capped at SNR_CAP_DB.
     """
-    pairs = pair_by_timestamp(est_windows, ref_windows, tol_s=tol_s)
+    pairs = pair_by_timestamp(est_windows, ref_windows)
     est = [e for _, e, _ in pairs]
     ref = [r for _, _, r in pairs]
     snr_db = cap_snr(snr(signal, fs, float(np.mean(ref))))

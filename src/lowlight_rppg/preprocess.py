@@ -143,21 +143,20 @@ def detrend(series, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
     return (rows - trend).reshape(x.shape)
 
 
-def butter_bandpass_sos(order: int, low: float, high: float, fs: float) -> np.ndarray:
-    """Digital Butterworth bandpass of the given order as ``order``
-    second-order sections, shape ``(order, 6)`` (``[b0, b1, b2, 1, a1, a2]``
-    per row).
+def _butter_bandpass(order: int, low: float, high: float, fs: float):
+    """``(poles, gain)`` of the digital Butterworth bandpass of the given
+    order, as ``order`` second-order sections: row k of the ``(order, 2)``
+    array ``poles`` holds section k's two poles, and every section has
+    one zero at z = +1 and one at z = -1, so the transfer function is
+    ``gain * prod_k (z^2 - 1) / ((z - poles[k, 0]) (z - poles[k, 1]))``.
 
     The band edges are pre-warped, the analog low-pass prototype poles
     are moved to the band by the low-pass to band-pass transform, and the
     bilinear transform maps them to the z-plane.  Each prototype pole in
     the upper half-plane gives two band-pass poles, each of which forms a
     section with its conjugate; the real prototype pole of an odd order
-    gives two poles, conjugate or both real, that share one section.  All
-    zeros sit at z = +1 and z = -1, one of each per section, so every
-    numerator is ``[1, 0, -1]``; the gain goes on the first section.
-    The frequency response is ``scipy.signal.butter``'s; the sections
-    may pair and order the zeros differently.
+    gives two poles, conjugate or both real, that share one section.
+    The poles and gain are ``scipy.signal.butter``'s (``output="zpk"``).
     """
     if order < 1 or order != int(order):
         raise ValueError(f"filter order must be a positive integer, got {order}")
@@ -175,21 +174,15 @@ def butter_bandpass_sos(order: int, low: float, high: float, fs: float) -> np.nd
     s1 = np.concatenate([half[upper] + root[upper], half[upper] - root[upper],
                          half[real] + root[real]])
     s2 = np.concatenate([np.conj(s1[:2 * upper.sum()]), half[real] - root[real]])
-    z1, z2 = (fs2 + s1) / (fs2 - s1), (fs2 + s2) / (fs2 - s2)
+    poles = np.stack([(fs2 + s1) / (fs2 - s1), (fs2 + s2) / (fs2 - s2)], axis=1)
     gain = (bw * fs2) ** order / np.prod((fs2 - s1) * (fs2 - s2)).real
     # poles nearest the unit circle last: the order that keeps the
     # cascade's intermediate signals, and its rounding, smallest
-    last = np.argsort(np.maximum(np.abs(z1), np.abs(z2)), kind="stable")
-    z1, z2 = z1[last], z2[last]
-    sos = np.zeros((order, 6))
-    sos[:, 0], sos[:, 2] = 1.0, -1.0
-    sos[:, 3], sos[:, 4], sos[:, 5] = 1.0, -(z1 + z2).real, (z1 * z2).real
-    sos[0, :3] *= gain
-    return sos
+    return poles[np.argsort(np.abs(poles).max(axis=1), kind="stable")], gain
 
 
-def _state_space(sos):
-    """(A, B, C, D) of the section cascade.
+def _state_space(poles, gain):
+    """(A, B, C, D) of the section cascade of ``_butter_bandpass``.
 
     Each section gets a normal-form state: a conjugate pole pair
     ``sigma +- i omega`` the rotation-scaling block
@@ -197,21 +190,23 @@ def _state_space(sos):
     block.  Unlike the direct-form delays, whose companion matrices grow
     transients by orders of magnitude when poles crowd z = 1, the powers
     of these blocks stay well conditioned, so the chunk operators built
-    from them keep full precision.
+    from them keep full precision.  The blocks take the designed poles
+    as they are: roots re-solved from rounded section coefficients lose
+    precision when two poles are close.
     """
-    n = 2 * len(sos)
+    n = 2 * len(poles)
     A, B, C, D = np.zeros((n, n)), np.zeros(n), np.zeros(n), 1.0
-    for k, (b0, b1, b2, _, a1, a2) in enumerate(sos):
-        # strictly proper part: (e1 z + e2) / (z^2 + a1 z + a2)
-        e1, e2 = b1 - a1 * b0, b2 - a2 * b0
-        sigma, disc = -a1 / 2, a1 * a1 / 4 - a2
-        if disc < 0:
-            omega = np.sqrt(-disc)
+    for k, (p, q) in enumerate(poles):
+        # section b0 (z^2 - 1) / ((z - p)(z - q)), the gain on the first:
+        # b0 plus the strictly proper part (e1 z + e2) / ((z - p)(z - q))
+        b0 = gain if k == 0 else 1.0
+        e1, e2 = b0 * (p + q).real, -b0 - b0 * (p * q).real
+        if p.imag:
+            sigma, omega = p.real, abs(p.imag)
             block = [[sigma, -omega], [omega, sigma]]
             c = (e1, (e2 + sigma * e1) / omega)
         else:
-            p1 = sigma + np.copysign(np.sqrt(disc), sigma)
-            p2 = a2 / p1
+            p1, p2 = sorted((p.real, q.real), key=abs, reverse=True)
             block = [[p1, 0.0], [1.0, p2]]
             c = (e1, e2 + e1 * p2)
         scale = np.sqrt(np.hypot(*c))  # evens out the input and output gains
@@ -227,8 +222,8 @@ def _state_space(sos):
 
 
 class _BlockFilter:
-    """The cascade ``sos`` applied from rest to the rows of a stack,
-    ``Lc`` samples at a time (``Lc`` a power of two).
+    """The cascade of ``poles`` and ``gain`` applied from rest to the rows
+    of a stack, ``Lc`` samples at a time (``Lc`` a power of two).
 
     Within a chunk the output is ``T x_c + O s``: ``T`` is the
     ``Lc x Lc`` lower-triangular Toeplitz matrix of the first ``Lc``
@@ -240,8 +235,8 @@ class _BlockFilter:
     exact up to rounding.
     """
 
-    def __init__(self, sos, chunk: int):
-        A, B, C, D = _state_space(sos)
+    def __init__(self, poles, gain, chunk: int):
+        A, B, C, D = _state_space(poles, gain)
         # rows C A^i and columns A^i B for i < chunk, by doubling
         obs, ctrl, power = C[None, :], B[:, None], A
         while len(obs) < chunk:
@@ -280,7 +275,7 @@ def _chunk_length(rows: int, n: int) -> int:
     return min(64 if rows >= 16 else 128, 1 << int(np.ceil(np.log2(n))))
 
 
-def _filtfilt(sos, x, padlen: int) -> np.ndarray:
+def _filtfilt(poles, gain, x, padlen: int) -> np.ndarray:
     """Forward-backward filtering of the rows of ``x`` after odd
     extension by ``padlen`` samples at both ends, as
     ``scipy.signal.sosfiltfilt`` with ``padtype="odd"``.
@@ -292,7 +287,7 @@ def _filtfilt(sos, x, padlen: int) -> np.ndarray:
     backward pass stops where the discarded left padding begins.
     """
     rows, n = x.shape
-    filt = _BlockFilter(sos, _chunk_length(rows, n + 2 * padlen))
+    filt = _BlockFilter(poles, gain, _chunk_length(rows, n + 2 * padlen))
     ext = np.concatenate([2 * x[:, :1] - x[:, padlen:0:-1], x,
                           2 * x[:, -1:] - x[:, -2:-padlen - 2:-1]], axis=1)
     ext -= ext[:, :1].copy()
@@ -309,13 +304,9 @@ def _reversed_after(y, padlen: int) -> np.ndarray:
     return y[:, :padlen - 1:-1] if padlen else y[:, ::-1]
 
 
-def _settling_length(sos) -> int:
-    """Samples for the slowest pole to decay below 1%."""
-    a1, a2 = sos[:, 4], sos[:, 5]
-    disc = a1 * a1 / 4 - a2
-    # |pole| of a conjugate pair is sqrt(a2); of two real poles, the larger
-    r = np.max(np.where(disc < 0, np.sqrt(np.abs(a2)),
-                        np.abs(a1) / 2 + np.sqrt(np.abs(disc))))
+def _settling_length(poles) -> int:
+    """Samples for the slowest of ``poles`` to decay below 1%."""
+    r = np.max(np.abs(poles))
     if r >= 1.0:
         return np.iinfo(np.int32).max
     return int(np.ceil(np.log(1e-2) / np.log(r)))
@@ -328,7 +319,7 @@ def bandpass(series, fs: float, low: float = PULSE_BAND[0],
 
     ``series`` is a 1-D signal or an ``(..., T)`` stack of equal-length
     signals, such as the ``(n_windows, T)`` analysis windows of
-    ``run_pipeline``; the filter is designed (``butter_bandpass_sos``) and
+    ``run_pipeline``; the filter is designed (``_butter_bandpass``) and
     its chunk operators built once per call, then applied to every row in
     both directions.  Zero-phase keeps component/time alignment for the
     overlap-add stage; HR estimation uses spectral peaks so phase is
@@ -344,8 +335,8 @@ def bandpass(series, fs: float, low: float = PULSE_BAND[0],
         raise ValueError(f"need 0 < low < high, got [{low}, {high}]")
     if high >= fs / 2:
         raise NyquistViolation(f"high cutoff {high} Hz >= Nyquist {fs / 2} Hz")
-    sos = butter_bandpass_sos(order, low, high, fs)
-    settle = _settling_length(sos)
+    poles, gain = _butter_bandpass(order, low, high, fs)
+    settle = _settling_length(poles)
     n = x.shape[-1]
     if n < 3 * settle:
         warnings.warn(
@@ -355,5 +346,5 @@ def bandpass(series, fs: float, low: float = PULSE_BAND[0],
             stacklevel=2,
         )
     padlen = min(n - 1, 3 * settle)
-    y = _filtfilt(sos, x.reshape(-1, n), padlen)
+    y = _filtfilt(poles, gain, x.reshape(-1, n), padlen)
     return y.reshape(x.shape)

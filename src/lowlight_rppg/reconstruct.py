@@ -9,12 +9,10 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
     NoAcceptedComponents,
-    TraceTooShort,
     WindowSpacingError,
     check_count,
     check_real,
@@ -22,7 +20,7 @@ from .errors import (
 from .hr import dominant_frequencies
 from .ingest import RawTrace
 from .preprocess import (PULSE_BAND, DEFAULT_LAMBDA, bandpass, check_lambda, detrend,
-                         pow2_scaled, sample_count)
+                         pow2_scaled, sample_count, window_stack)
 from .selection import DEFAULT_SEC_CHN, SIGMA_INIT, reference_sigmas, select_rows
 from .ssa import decompose_rows, default_window_length
 
@@ -195,17 +193,17 @@ def _run_parts(func, start: int, stop: int, parts: int) -> list:
 def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> PulseWave:
     """Extract the pulse wave from a raw trace.
 
-    The green channel is cut into 10 s windows every ``step_s``, an
-    ``(n_windows, T)`` stack that runs through array stages in blocks of
-    ``_BLOCK_ROWS`` rows: ``detrend``, ``bandpass`` and
-    ``hr.dominant_frequencies`` (within ``band``, at 8192 points) give
+    The green channel is cut into ``window_s`` windows every ``step_s``
+    by ``window_stack`` (a trace shorter than one window is
+    SeriesTooShort), an ``(n_windows, T)`` stack that runs through array
+    stages in blocks of ``_BLOCK_ROWS`` rows: ``detrend``, ``bandpass``
+    and ``hr.dominant_frequencies`` (within ``band``, at 8192 points) give
     every window's samples and reference HR, and ``reference_sigmas`` its
-    dispersion.  The windows starting on
-    half-window boundaries are then emitted, in blocks too: a per-window
-    SVD, and for the whole block one component convolution
-    (``decompose_rows``), one candidate search and mask (``select_rows``),
-    one Gaussian fusion (``fuse_rows``) and one Hann overlap-add at 50%
-    hop.  Analysis runs at the fine step purely for reference-HR
+    dispersion.  The windows starting on half-window boundaries are then
+    emitted, in blocks too: a per-window SVD, and for the whole block one
+    component convolution (``decompose_rows``), one candidate search and
+    mask (``select_rows``), one Gaussian fusion (``fuse_rows``) and one
+    Hann overlap-add at 50% hop.  Analysis runs at the fine step purely for reference-HR
     tracking; emitting every window would break the constant-overlap-add
     normalization.
 
@@ -228,14 +226,11 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     if not 2 <= L <= hop:
         raise ConfigError(f"SSA window must satisfy 2 <= L <= {hop} "
                           f"(half the {win}-sample window), got L={L}")
-    T = len(trace)
-    if T < win:
-        raise TraceTooShort(f"trace has {T} samples, need at least {win}")
 
     # Scaled by a power of two near max |x|, and the pulse back: exact, so
     # no finite trace overflows or underflows a stage.
     green, exponent = pow2_scaled(trace.green(), axis=None)
-    windows = sliding_window_view(green, win)[::step]
+    windows, _ = window_stack(green, config.window_s, config.step_s, fs)
     every = hop // step  # every this many windows, one is emitted
     f_r = np.empty(len(windows))
     emitted_segs = []

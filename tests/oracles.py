@@ -9,9 +9,9 @@ reading of its definition.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from lowlight_rppg.cli import pulse_from_rows
-from lowlight_rppg.ingest import read_csv
+from lowlight_rppg.ingest import pulse_from_rows, read_csv
 from lowlight_rppg.preprocess import pow2_scaled
+from lowlight_rppg.reconstruct import PulseWave
 from lowlight_rppg.ssa import _leading_triples, validate_window_length
 from lowlight_rppg.synth import attenuate, generate
 
@@ -60,4 +60,5 @@ def illumination_sweep(base, levels) -> list:
 def load_pulse_csv(path):
     """A PulseWave from an ``index,value`` pulse file, read as the
     ``evaluate`` command reads one."""
-    return pulse_from_rows(*read_csv(path))
+    samples, fs = pulse_from_rows(*read_csv(path))
+    return PulseWave(samples=samples, fs=fs)

@@ -13,7 +13,8 @@ import lowlight_rppg
 
 from lowlight_rppg import (PipelineConfig, PulseWave, RawTrace, SynthConfig, generate,
                            load_trace_csv, run_pipeline, save_trace_csv)
-from lowlight_rppg.cli import _pipeline_config, _write_json, build_parser, main, save_pulse_csv
+from lowlight_rppg.cli import _pipeline_config, _write_json, build_parser, main
+from lowlight_rppg.ingest import save_pulse_csv
 from lowlight_rppg.errors import ParseError, RppgError
 from oracles import load_pulse_csv
 
@@ -384,11 +385,11 @@ class TestEvaluate:
 @pytest.mark.parametrize("command", ["evaluate", "synth", "sweep"])
 def test_report_under_a_file_exit_2_before_any_work(tmp_path, clean_trace, clean_config,
                                                     capsys, monkeypatch, command):
-    from lowlight_rppg import cli, synth
+    from lowlight_rppg import ingest, synth
     (tmp_path / "afile").write_text("")
     out = str(tmp_path / "afile" / "out")
     read = []
-    monkeypatch.setattr(cli, "read_csv", read.append)
+    monkeypatch.setattr(ingest, "read_csv", read.append)
     monkeypatch.setattr(synth.SynthConfig, "from_json", read.append)
     argv = {"evaluate": ["evaluate", str(clean_trace), str(clean_trace), out],
             "synth": ["synth", str(clean_config), out],

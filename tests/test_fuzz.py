@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lowlight_rppg import PipelineConfig, load_trace_csv
-from lowlight_rppg.cli import _INPUT_ERRORS, load_reference_csv, main
+from lowlight_rppg.cli import _INPUT_ERRORS, main
+from lowlight_rppg.ingest import load_reference_csv
 from oracles import load_pulse_csv
 
 # capsys is read and cleared on every example, so it may be function-scoped

@@ -17,7 +17,7 @@ from lowlight_rppg import (
     sliding_hr,
     spectrogram,
 )
-from lowlight_rppg.errors import ConfigError, SeriesTooShort, ZeroSignal
+from lowlight_rppg.errors import ConfigError, NonFiniteInput, SeriesTooShort, ZeroSignal
 
 FS = 30.0
 
@@ -99,6 +99,25 @@ def test_constant_with_inexact_mean_is_zero_signal(search, value):
     assert x.mean() != value
     with pytest.raises(ZeroSignal):
         search(x)
+
+
+@pytest.mark.parametrize("route", ["cosine", "fft"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_raises(bad, route, monkeypatch):
+    # a NaN spectrum's argmax is bin 0: a NaN row used to give the band's
+    # lower edge (0.703125 Hz), and a 72 bpm tone with one NaN 42.08 bpm
+    if route == "fft":
+        monkeypatch.setattr(hr, "_MAX_TABLE_ENTRIES", 0)
+    with pytest.raises(NonFiniteInput):
+        dominant_frequencies(np.full((1, 300), bad), FS, (0.7, 4.0))
+    tone = np.sin(2 * np.pi * 1.2 * np.arange(600) / FS)
+    stack = np.stack([tone[:300], tone[300:]])
+    stack[1, 17] = bad
+    with pytest.raises(NonFiniteInput):
+        dominant_frequencies(stack, FS, (0.7, 4.0))
+    tone[17] = bad
+    with pytest.raises(NonFiniteInput):
+        estimate_hr_series(tone, FS)
 
 
 def test_too_short():

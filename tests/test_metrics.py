@@ -154,7 +154,7 @@ class TestEvaluate:
 
     def test_unpairable_raises(self):
         with pytest.raises(PairingError):
-            pair_by_timestamp([(5.0, 72.0)], [(9.0, 70.0)], tol_s=0.5)
+            pair_by_timestamp([(5.0, 72.0)], [(9.0, 70.0)])
 
     @pytest.mark.parametrize("est, ref", [
         ([(5.0, 72.0)], [(np.nan, 72.0)]),

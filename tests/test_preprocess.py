@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
-from scipy.signal import butter, sosfiltfilt, sosfreqz
+from scipy.signal import butter, freqz_zpk, sosfiltfilt, sosfreqz
 
 from lowlight_rppg import bandpass, detrend
 from lowlight_rppg.errors import ConfigError, NonFiniteInput, NyquistViolation, SeriesTooShort
-from lowlight_rppg.preprocess import MAX_LAMBDA, _settling_length, butter_bandpass_sos
+from lowlight_rppg.preprocess import MAX_LAMBDA, _butter_bandpass, _settling_length
 
 GRID_FS = (25.0, 30.0, 60.0, 120.0)
 # (0.7, 11) gives a section with two real poles at every odd order
@@ -271,9 +271,14 @@ def window_like(fs, shape, seed=1):
             + 2.0 * np.sin(2 * np.pi * 0.05 * t + 1.0))
 
 
+def scipy_settling(fs, band, order):
+    """The settling length of scipy's design."""
+    return _settling_length(butter(order, band, btype="bandpass", output="zpk", fs=fs)[1])
+
+
 def scipy_bandpass(x, fs, band, order):
     sos = butter(order, band, btype="bandpass", output="sos", fs=fs)
-    padlen = min(x.shape[-1] - 1, 3 * _settling_length(sos))
+    padlen = min(x.shape[-1] - 1, 3 * scipy_settling(fs, band, order))
     return sosfiltfilt(sos, x, axis=-1, padtype="odd", padlen=padlen)
 
 
@@ -281,7 +286,7 @@ def scipy_bandpass(x, fs, band, order):
 @pytest.mark.parametrize("fs", GRID_FS)
 def test_matches_sosfiltfilt(fs, band):
     for order in GRID_ORDERS:
-        settle = _settling_length(butter_bandpass_sos(order, *band, fs))
+        settle = scipy_settling(fs, band, order)
         # 10 s, a stack of 60 s rows, and two short series whose
         # padding is n - 1 samples
         for shape in [(int(10 * fs),), (3, int(60 * fs)), (settle,), (2, 3 * settle - 5)]:
@@ -299,21 +304,22 @@ def test_matches_sosfiltfilt(fs, band):
 def test_design_matches_butter_response(fs, band):
     w = np.linspace(0.0, fs / 2, 2001)
     for order in GRID_ORDERS:
-        sos = butter_bandpass_sos(order, *band, fs)
-        assert sos.shape == (order, 6)
-        np.testing.assert_array_equal(sos[1:, :3], np.tile([1.0, 0.0, -1.0], (order - 1, 1)))
-        assert sos[0, 0] > 0 and sos[0, 1] == 0.0 and sos[0, 2] == -sos[0, 0]
-        # pairing may differ from scipy's, so compare responses
-        _, h = sosfreqz(sos, worN=w, fs=fs)
+        poles, gain = _butter_bandpass(order, *band, fs)
+        assert poles.shape == (order, 2) and gain > 0
+        assert _settling_length(poles) == scipy_settling(fs, band, order)
+        # each section: a conjugate pair, or two real poles
+        pair = poles[:, 1] == np.conj(poles[:, 0])
+        assert np.all(pair | np.all(poles.imag == 0, axis=1))
+        zeros = np.repeat([1.0, -1.0], order)  # z = +1 and z = -1 per section
+        _, h = freqz_zpk(zeros, poles.ravel(), gain, worN=w, fs=fs)
         _, h_ref = sosfreqz(butter(order, band, btype="bandpass", output="sos", fs=fs),
                             worN=w, fs=fs)
         assert np.max(np.abs(h - h_ref)) <= 1e-12
 
 
 def test_design_has_real_pole_section_for_wide_band():
-    sos = butter_bandpass_sos(3, 0.7, 11.0, 30.0)
-    disc = sos[:, 4] ** 2 / 4 - sos[:, 5]
-    assert np.sum(disc >= 0) == 1
+    poles, _ = _butter_bandpass(3, 0.7, 11.0, 30.0)
+    assert np.sum(np.all(poles.imag == 0, axis=1)) == 1
 
 
 @pytest.mark.parametrize("order", [0, -1, 2.5])
@@ -365,8 +371,8 @@ def test_close_to_extended_precision(fs, band, order, kind, n):
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, n))
     x += 100.0 if kind == "offset" else np.linspace(0.0, 50.0, n)
-    sos = butter_bandpass_sos(order, *band, fs)
-    padlen = min(n - 1, 3 * _settling_length(sos))
+    sos = butter(order, band, btype="bandpass", output="sos", fs=fs)
+    padlen = min(n - 1, 3 * scipy_settling(fs, band, order))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         y = bandpass(x, fs, band[0], band[1], order)

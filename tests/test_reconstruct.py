@@ -19,7 +19,7 @@ from lowlight_rppg import (
 from lowlight_rppg.errors import (
     ConfigError,
     NoAcceptedComponents,
-    TraceTooShort,
+    SeriesTooShort,
     WindowSpacingError,
 )
 from lowlight_rppg import ssa
@@ -335,7 +335,7 @@ class TestRunPipeline:
     def test_trace_too_short(self):
         trace = generate(SynthConfig(hr_bpm=72.0, duration_s=10.0))
         short = type(trace)(samples=trace.samples[:200], fs=trace.fs)
-        with pytest.raises(TraceTooShort):
+        with pytest.raises(SeriesTooShort):
             run_pipeline(short)
 
     def test_step_must_divide_hop(self):
