@@ -22,7 +22,7 @@ from .ingest import RawTrace
 from .preprocess import (PULSE_BAND, DEFAULT_LAMBDA, bandpass, check_lambda, detrend,
                          pow2_scaled, sample_count, window_stack)
 from .selection import DEFAULT_SEC_CHN, SIGMA_INIT, reference_sigmas, select_rows
-from .ssa import decompose_rows, default_window_length
+from .ssa import _NUMPY_LAPACK, decompose_rows, default_window_length
 
 # run_pipeline takes the window stack through preprocessing and the
 # reference search, and the emitted windows through SSA, selection and
@@ -30,10 +30,11 @@ from .ssa import decompose_rows, default_window_length
 # the trace length.
 _BLOCK_ROWS = 64
 
-# OpenBLAS's thread-count getters, found through numpy's LAPACK module, which
-# links its BLAS.  With more BLAS threads per call, window threads oversubscribe
-# the cores; with no getter (MKL, Accelerate, Windows, whose loader does not
-# search a module's dependencies) the count is unknown, so there are none.
+# OpenBLAS's thread-count getters, found through numpy's LAPACK module
+# (``ssa._NUMPY_LAPACK``), which links its BLAS.  With more BLAS threads per
+# call, window threads oversubscribe the cores; with no getter (MKL,
+# Accelerate, Windows, whose loader does not search a module's dependencies)
+# the count is unknown, so there are none.
 _GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
             "openblas_get_num_threads64_", "openblas_get_num_threads")
 
@@ -48,7 +49,7 @@ def _openblas_threads(lib):
 
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
-_blas_threads = _openblas_threads(ctypes.CDLL(np.linalg._umath_linalg.__file__))
+_blas_threads = _openblas_threads(_NUMPY_LAPACK)
 
 
 def fuse_rows(components, freqs, accepted, f_r, sigma_fr) -> np.ndarray:
@@ -158,13 +159,14 @@ class PipelineConfig:
             raise ConfigError(f"band needs 0 < low < high, got [{low}, {high}]")
 
 
-def _run_parts(func, start: int, stop: int, parts: int) -> list:
+def _run_parts(func, start: int, stop: int, parts: int, *, _caller_waits: bool = False) -> list:
     """``[func(s) for s in slices]`` over ``parts`` contiguous slices of
     ``range(start, stop)`` (none empty), in order.  The caller runs the
     first slice, and a new thread each of the others in a copy of the
-    caller's context, so that ``np.errstate`` holds there too.  Once every
-    slice has ended, the exception of the lowest-numbered one that failed
-    is raised.
+    caller's context, so that ``np.errstate`` holds there too; with
+    ``_caller_waits``, a new thread runs the first slice as well, unless it
+    is the only one.  Once every slice has ended, the exception of the
+    lowest-numbered one that failed is raised.
     """
     n = stop - start
     edges = [start + n * i // parts for i in range(parts + 1)]
@@ -177,11 +179,13 @@ def _run_parts(func, start: int, stop: int, parts: int) -> list:
         except BaseException as exc:  # raised below, on the caller's thread
             errors[i] = exc
 
+    own = 0 if _caller_waits and len(slices) > 1 else 1  # slices the caller runs
     helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-               for i in range(1, len(slices))]
+               for i in range(own, len(slices))]
     for t in helpers:
         t.start()
-    run(0)
+    for i in range(own):
+        run(i)
     for t in helpers:
         t.join()
     for exc in errors:
@@ -212,6 +216,9 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     contiguous parts, one per core: the caller takes the first and a new
     thread each of the others.  No window's result depends on the others
     in its block, so the output is byte-identical to that of one part.
+    The first pass is split the same way by whole blocks, when there are
+    two or more, each part on a new thread while the caller waits; every
+    block is still filtered as the same stack, so its rounding is kept.
     Other threads, such as ``sweep_report``'s workers, run one part.
     """
     fs = trace.fs
@@ -232,14 +239,27 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     green, exponent = pow2_scaled(trace.green(), axis=None)
     windows, _ = window_stack(green, config.window_s, config.step_s, fs)
     every = hop // step  # every this many windows, one is emitted
+    parts = (_CORES if threading.current_thread() is threading.main_thread()
+             and _blas_threads is not None and _blas_threads() == 1 else 1)
     f_r = np.empty(len(windows))
-    emitted_segs = []
-    for b in range(0, len(windows), _BLOCK_ROWS):
-        segs = bandpass(detrend(windows[b:b + _BLOCK_ROWS], config.lam), fs,
-                        config.band[0], config.band[1])
-        f_r[b:b + len(segs)] = dominant_frequencies(segs, fs, config.band)
-        # keep a compact copy of the emitted rows, not views of the block
-        emitted_segs.extend(segs[(-b) % every::every].copy())
+    blocks = range(0, len(windows), _BLOCK_ROWS)
+
+    def first_pass(part: slice) -> list:
+        """Filter the blocks ``part`` of ``blocks``, write their reference
+        HRs and return copies of their emitted rows."""
+        emitted_rows = []
+        for b in blocks[part]:
+            segs = bandpass(detrend(windows[b:b + _BLOCK_ROWS], config.lam), fs,
+                            config.band[0], config.band[1])
+            f_r[b:b + len(segs)] = dominant_frequencies(segs, fs, config.band)
+            # keep a compact copy of the emitted rows, not views of the block
+            emitted_rows.extend(segs[(-b) % every::every].copy())
+        return emitted_rows
+
+    # The caller waits: a tracer's span around detrend on the caller would
+    # otherwise enclose other threads' spans that it does not cover.
+    emitted_segs = [row for rows in _run_parts(first_pass, 0, len(blocks), parts,
+                                               _caller_waits=True) for row in rows]
     sigma_fr = reference_sigmas(f_r, config.sigma_init)
 
     n_accepted = np.zeros(len(windows), dtype=int)  # 0 and False where not emitted
@@ -254,8 +274,6 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
         n_acc[:] = accepted.sum(axis=1)
         return fuse_rows(comps, freqs, accepted, f, sigma)
 
-    parts = (_CORES if threading.current_thread() is threading.main_thread()
-             and _blas_threads is not None and _blas_threads() == 1 else 1)
     samples = np.zeros((len(emitted_segs) + 1) * hop)
     for c in range(0, len(emitted_segs), _BLOCK_ROWS):
         stop = min(c + _BLOCK_ROWS, len(emitted_segs))

@@ -59,7 +59,8 @@ def spectral_mask(freqs, f_r, sigma_fr, band: tuple[float, float] = PULSE_BAND) 
     Returns the ``(n, k)`` codes: code c means ``list(MaskReason)[c]``.
     """
     f_r = np.asarray(f_r, dtype=float)[:, None]
-    tol = 3.0 * np.asarray(sigma_fr, dtype=float)[:, None]
+    with np.errstate(over="ignore"):  # inf past about 6e307: every in-band candidate matches
+        tol = 3.0 * np.asarray(sigma_fr, dtype=float)[:, None]
     freqs = np.asarray(freqs, dtype=float)
     in_band = (band[0] <= freqs) & (freqs <= band[1])
     code = _REASONS.index

@@ -117,6 +117,18 @@ class TestFuseWindow:
         assert np.all(np.isfinite(tiny.samples))
         assert tiny.samples.tobytes() == small.samples.tobytes()
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_sigma_init_gives_no_overflow_warning(self):
+        # extract with --sigma-init 1e308 printed numpy's overflow warning
+        # from the mask's 3 sigma; an infinite tolerance is the limit of a
+        # huge one, so the files are those of 1e300
+        trace = generate(SynthConfig(duration_s=20.0, noise_rms=(3.0,) * 3, seed=1))
+        huge = run_pipeline(trace, PipelineConfig(sigma_init=1e308))
+        large = run_pipeline(trace, PipelineConfig(sigma_init=1e300))
+        assert huge.samples.tobytes() == large.samples.tobytes()
+        assert [r.n_accepted for r in huge.window_flags] == \
+            [r.n_accepted for r in large.window_flags]
+
     def test_empty_list(self):
         with pytest.raises(NoAcceptedComponents):
             fuse_rows(np.ones((1, 2, 4)), np.array([[1.2, 1.3]]), np.zeros((1, 2), bool),

@@ -1,10 +1,14 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import hankel
 
-from lowlight_rppg import decompose_rows, dominant_frequencies
-from lowlight_rppg.errors import InvalidWindowLength, NonFiniteInput
-from lowlight_rppg.preprocess import PULSE_BAND
+from lowlight_rppg import decompose_rows, dominant_frequencies, ssa
+from lowlight_rppg.errors import DecompositionFailure, InvalidWindowLength, NonFiniteInput
+from lowlight_rppg.preprocess import PULSE_BAND, bandpass
 from lowlight_rppg.ssa import default_window_length
 from oracles import diagonal_average, hankel_embed, svd_components
 
@@ -160,6 +164,106 @@ class TestTruncatedSvd:
         triples = svd_components(X, k)
         assert len(triples) == 20
         assert np.linalg.norm(_rank_k_sum(triples) - X) / np.linalg.norm(X) < 1e-10
+
+
+def _window(T, L, fs=30.0, seed=0):
+    """A bandpassed noisy 72 bpm window of T samples, as run_pipeline
+    decomposes them (L = T/3)."""
+    t = np.arange(T) / fs
+    x = np.sin(2 * np.pi * 1.2 * t) + np.random.default_rng(seed).normal(size=T)
+    return bandpass(x, fs)
+
+
+@pytest.mark.skipif(ssa._DSYEVR is None, reason="numpy's LAPACK exports no 64-bit dsyevr")
+class TestSubsetSolver:
+    """The top-k route's eigenvectors from LAPACK's dsyevr, against those of
+    np.linalg.eigh (``_DSYEVR`` patched to None)."""
+
+    # The kept triples' rank-1 sums agree within ``tol`` of max |X|: both
+    # routes take the SVD of Q'X in an orthonormal basis of the leading
+    # subspace, which moves by about eps sigma_max^2 over the gap of the
+    # last kept sigma^2 to the next.  Measured: 1e-14 with gaps of 1e-2
+    # sigma_max and more; 9e-12 where the kept noise sits at 3e-4 sigma_max.
+    @pytest.mark.parametrize("X, tol", [
+        (hankel_embed(_window(300, 100), 100), 1e-13),
+        (hankel_embed(_window(600, 200, fs=60.0), 200), 1e-13),
+        (np.random.default_rng(14).normal(size=(200, 401)), 1e-13),
+        # rank 2: 8 of the 10 eigenpairs are zero, dropped by SV_CUTOFF
+        (_sinusoid_hankel([1.2]), 1e-13),
+        # a sine/cosine pair of near-equal sigma over noise at 3e-4 sigma_max
+        (hankel_embed(np.sin(2 * np.pi * 1.2 * np.arange(300) / 30.0)
+                      + 1e-3 * np.random.default_rng(15).normal(size=300), 100), 1e-10),
+        (np.zeros((100, 201)), 0.0),
+        (np.random.default_rng(16).normal(size=(20, 41)), 1e-13),  # 2k = L
+    ], ids=["L100", "L200", "noise-L200", "pure-tone", "sine-cosine-pair", "zero", "2k-equals-L"])
+    def test_matches_eigh_route(self, monkeypatch, X, tol):
+        subset = svd_components(X, 10)
+        monkeypatch.setattr(ssa, "_DSYEVR", None)
+        full = svd_components(X, 10)
+        assert len(subset) == len(full)
+        diff = np.abs(_rank_k_sum(subset) - _rank_k_sum(full))
+        assert np.max(diff, initial=0.0) <= tol * np.max(np.abs(X))
+        for (s_a, _, _), (s_b, _, _) in zip(subset, full):
+            assert abs(s_a - s_b) <= 1e-13 * full[0][0]
+
+    def test_a_tone_is_a_near_equal_pair_of_rank_2(self):
+        (s1, _, _), (s2, _, _) = svd_components(_sinusoid_hankel([1.2]), 10)
+        assert abs(s1 - s2) <= 0.01 * s1
+
+    def test_solver_failure_is_a_decomposition_failure(self, monkeypatch):
+        real = ssa._DSYEVR
+
+        def dsyevr(*args):  # the workspace query passes, the solve fails
+            info = real(*args)
+            return info if args[18] == -1 else 3
+        monkeypatch.setattr(ssa, "_DSYEVR", dsyevr)
+        with pytest.raises(DecompositionFailure, match="info 3"):
+            decompose_rows(np.random.default_rng(18).normal(size=(2, 300)), 100, 10)
+
+    def test_threads_give_the_serial_bytes(self):
+        # each decompose_rows call owns its solver workspace: four threads
+        # on two shapes, switching every 10 us, give the serial bytes
+        rng = np.random.default_rng(17)
+        stacks = [np.array([_window(600, 200, fs=60.0, seed=s) for s in range(4 * i, 4 * i + 4)])
+                  for i in range(4)] + [rng.normal(size=(4, 300))]
+        shapes = [200] * 4 + [100]
+        serial = [decompose_rows(rows, L, 10) for rows, L in zip(stacks, shapes)]
+        start = threading.Barrier(4, timeout=60)
+        results = [[] for _ in range(4)]
+
+        def run(t):
+            start.wait()
+            for _ in range(3):
+                for i in range(len(stacks)):
+                    j = (i + t) % len(stacks)
+                    results[t].append((j, decompose_rows(stacks[j], shapes[j], 10)))
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sum(len(r) for r in results) == 4 * 3 * len(stacks)
+        for j, (comps, sv) in itertools.chain.from_iterable(results):
+            assert comps.tobytes() == serial[j][0].tobytes()
+            assert sv.tobytes() == serial[j][1].tobytes()
+
+
+def test_dsyevr_found_where_numpy_names_scipy_openblas():
+    # guards the subset solver against a wheel whose LAPACK no longer
+    # exports it under a 64-bit name, which would fall back to eigh
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy that only prints its build config
+        pytest.skip("numpy does not name its BLAS")
+    if "scipy-openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}")
+    assert ssa._DSYEVR is not None
 
 
 class TestDiagonalAverage:

@@ -2,18 +2,20 @@
 same output, errors and numpy error state as one part on the caller."""
 
 import ctypes
+import importlib.util
 import os
 import subprocess
 import sys
 import threading
 import types
+import warnings
 
 import numpy as np
 import pytest
 
 import lowlight_rppg
 from lowlight_rppg import PipelineConfig, SynthConfig, generate, reconstruct, run_pipeline
-from lowlight_rppg.errors import NoComponents
+from lowlight_rppg.errors import NoComponents, NonFiniteInput
 
 CORES = reconstruct._CORES
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lowlight_rppg.__file__)))
@@ -32,21 +34,23 @@ def _force_parts(monkeypatch, parts):
 
 @pytest.fixture
 def parts_used(monkeypatch):
-    """The part count of every block the test's run_pipeline calls split."""
+    """The part count of every stage the test's run_pipeline calls split:
+    the first pass's blocks, then each block of emitted windows."""
     used = []
     real = reconstruct._run_parts
 
-    def run_parts(func, start, stop, parts):
+    def run_parts(func, start, stop, parts, **kwargs):
         used.append(parts)
-        return real(func, start, stop, parts)
+        return real(func, start, stop, parts, **kwargs)
     monkeypatch.setattr(reconstruct, "_run_parts", run_parts)
     return used
 
 
 def _in_new_process(environ, before_import=""):
     """OpenBLAS's thread count (None without a getter) and the part counts
-    of one run_pipeline call (3 emitted windows) in a new Python started
-    with ``environ`` and no other OpenBLAS variable, which runs
+    of one run_pipeline call (one block and 3 emitted windows: the first
+    pass's count, then the emitted windows') in a new Python started with
+    ``environ`` and no other OpenBLAS variable, which runs
     ``before_import`` before it imports lowlight_rppg."""
     code = f"""
 import sys
@@ -55,7 +59,8 @@ sys.path.insert(0, {SRC!r})
 from lowlight_rppg import SynthConfig, generate, reconstruct, run_pipeline
 used = []
 real = reconstruct._run_parts
-reconstruct._run_parts = lambda func, a, b, parts: (used.append(parts), real(func, a, b, parts))[1]
+reconstruct._run_parts = lambda func, a, b, parts, **kw: (used.append(parts),
+                                                          real(func, a, b, parts, **kw))[1]
 run_pipeline(generate(SynthConfig(duration_s=20.0)))
 print(reconstruct._blas_threads and reconstruct._blas_threads(), *used)
 """
@@ -87,19 +92,19 @@ def test_helper_count(monkeypatch, parts_used, environ, lib, helpers):
     if lib is None:
         if reconstruct._blas_threads is None:
             pytest.skip("numpy's BLAS exports no OpenBLAS getter")
-        assert _in_new_process(environ)[1] == [helpers + 1]
+        assert _in_new_process(environ)[1] == [helpers + 1] * 2
     else:
         fake = types.SimpleNamespace(**{name: lambda: 1 for name in lib})
         monkeypatch.setattr(reconstruct, "_blas_threads", reconstruct._openblas_threads(fake))
         assert reconstruct._blas_threads is None
         run_pipeline(_trace(30.0, 60.0))
-        assert parts_used == [helpers + 1]
+        assert parts_used == [helpers + 1] * 2
 
 
 def test_one_core_has_no_helper(monkeypatch, parts_used):
     _force_parts(monkeypatch, 1)
     run_pipeline(_trace(30.0, 60.0))
-    assert parts_used == [1]
+    assert parts_used == [1, 1]
 
 
 @needs_openblas
@@ -107,7 +112,7 @@ def test_variable_set_after_numpy_loads_starts_no_helper():
     # OpenBLAS read its variables when numpy loaded it, so it keeps its
     # default threads (one per core) and the windows run on the caller
     before = "import os, numpy\nos.environ['OPENBLAS_NUM_THREADS'] = '1'"
-    assert _in_new_process({}, before)[1] == [1]
+    assert _in_new_process({}, before)[1] == [1, 1]
 
 
 @needs_openblas
@@ -125,7 +130,7 @@ def test_threads_set_at_run_time_gate_the_next_call(parts_used):
             run_pipeline(trace)
     finally:
         setter(threads)
-    assert parts_used == [CORES, 1]
+    assert parts_used == [CORES, CORES, 1, 1]
 
 
 def test_getter_found_where_numpy_names_openblas():
@@ -137,7 +142,7 @@ def test_getter_found_where_numpy_names_openblas():
         pytest.skip("numpy does not name its BLAS")
     if "openblas" not in blas.lower():
         pytest.skip(f"numpy's BLAS is {blas}")
-    assert _in_new_process({"OPENBLAS_NUM_THREADS": "1"}) == (1, [CORES])
+    assert _in_new_process({"OPENBLAS_NUM_THREADS": "1"}) == (1, [CORES, CORES])
 
 
 def _trace(fs, duration_s, hr_bpm=84.0, seed=13):
@@ -320,3 +325,76 @@ print(code, reconstruct._blas_threads is not None, len(started),
         files[name] = {f.name: f.read_bytes() for f in out.parent.iterdir()}
     assert sorted(files["unset"]) == ["pulse.csv", "pulse.hr.json", "pulse.windows.json"]
     assert files["unset"] == files["pinned"]
+
+
+def _pool_entry_0_60hz():
+    """Pool entry 0 of the benchmark's cli-extract-60hz: 120 s at 60 Hz."""
+    path = os.path.join(os.path.dirname(SRC), "benchmarks", "workloads.py")
+    spec = importlib.util.spec_from_file_location("window_threads_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.CliExtract60Hz()
+    samples = workloads.synth_samples(workload.specs[0], workload.fs, workload.duration_s)
+    return lowlight_rppg.RawTrace(samples=samples, fs=workload.fs)
+
+
+@pytest.mark.parametrize("make_trace, blocks", [
+    (lambda: _trace(30.0, 140.0), 3),  # 131 windows: 64, 64 and 3
+    (_pool_entry_0_60hz, 2),           # 111 windows: 64 and 47
+], ids=["140s-30hz", "pool-0-120s-60hz"])
+def test_first_pass_blocks_are_byte_identical(monkeypatch, make_trace, blocks):
+    # each block is the same 64-row stack on any part, so bandpass rounds
+    # it as on one part; and the first pass runs on new threads only
+    trace = make_trace()
+    real = reconstruct.detrend
+    outputs, on_main = [], []
+
+    def detrend(rows, lam):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(rows, lam)
+    monkeypatch.setattr(reconstruct, "detrend", detrend)
+    for parts in (1, 2, 3):
+        _force_parts(monkeypatch, parts)
+        on_main.clear()
+        outputs.append(run_pipeline(trace))
+        assert on_main == [parts == 1] * blocks
+    for pulse in outputs[1:]:
+        assert pulse.samples.tobytes() == outputs[0].samples.tobytes()
+        assert pulse.window_flags == outputs[0].window_flags
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_first_pass_warning_reaches_the_caller(monkeypatch, parts):
+    # at 30 Hz a 0.3 Hz band edge settles in 161 samples, more than a
+    # third of a 300-sample window: bandpass warns on every block
+    _force_parts(monkeypatch, parts)
+    trace, config = _trace(30.0, 100.0), PipelineConfig(band=(0.3, 4.0))
+    with pytest.warns(RuntimeWarning, match="settling length"):
+        warned = run_pipeline(trace, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="settling length"):
+            run_pipeline(trace, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_pipeline(trace, config).samples.tobytes() == warned.samples.tobytes()
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_first_pass_error_of_block_2_reaches_the_caller(monkeypatch, parts):
+    # 100 s at 30 Hz: 91 windows in blocks of 64 and 27; a NaN in block 2's
+    # filtered rows fails its reference search
+    _force_parts(monkeypatch, parts)
+    real = reconstruct.bandpass
+    failed_on_main = []
+
+    def bandpass(rows, *args):
+        out = real(rows, *args)
+        if len(rows) < reconstruct._BLOCK_ROWS:
+            failed_on_main.append(threading.current_thread() is threading.main_thread())
+            out[-1, 0] = np.nan
+        return out
+    monkeypatch.setattr(reconstruct, "bandpass", bandpass)
+    with pytest.raises(NonFiniteInput):
+        run_pipeline(_trace(30.0, 100.0))
+    assert failed_on_main == [parts == 1]
