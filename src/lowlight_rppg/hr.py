@@ -19,10 +19,13 @@ _HR_MIN_NFFT = 2**14
 # larger blocks stream it fewer times.
 _BLOCK_ROWS = 64
 
-# dominant_frequencies' FFT route transforms this many rows at a time, so
-# its zero-padded spectra (16 x 4097 complex values, 1 MB, at 8192 points)
-# do not grow with the row count.
-_FFT_ROWS = 16
+# The complex spectra that dominant_frequencies holds at once, in either
+# route, fit in this many bytes (3 rows at 8192 points, 31 autocorrelation
+# rows of a 300-sample series), or are one row.  glibc hands a larger
+# transient back to the kernel after every call and faults it in again on
+# the next: 1 MB blocks cost about 1500 minor faults per 60 s / 30 Hz
+# run_pipeline call, about 3.5 ms of 18.6 on a 2-vCPU VM.
+_SPECTRUM_BYTES = 2**18
 
 # dominant_frequencies takes the cosine route when its table has at most
 # this many entries (8 MB); larger searches (full-spectrum candidate
@@ -53,15 +56,27 @@ def _cosine_table(T: int, nfft: int, k0: int, m: int) -> np.ndarray:
     return table
 
 
+def _spectrum_rows(n: int) -> int:
+    """How many rows' ``n``-point real spectra fit ``_SPECTRUM_BYTES``, at
+    least one."""
+    return max(1, _SPECTRUM_BYTES // (16 * (n // 2 + 1)))
+
+
 def _autocorrelation(x) -> np.ndarray:
     """Lags ``0..T-1`` of each row's autocorrelation, from one
-    ``rfft``/``irfft`` pair of ``2^ceil(log2(2T - 1))`` points.  The rows
-    are taken as given: ``dominant_frequencies`` has scaled them, so
-    ``|F|^2`` neither overflows nor underflows."""
+    ``rfft``/``irfft`` pair of ``n = 2^ceil(log2(2T - 1))`` points, run on
+    ``_spectrum_rows(n)`` rows at a time.  The rows are taken as given:
+    ``dominant_frequencies`` has scaled them, so ``|F|^2`` neither
+    overflows nor underflows."""
     T = x.shape[-1]
     n = 1 << (2 * T - 2).bit_length()
-    spectrum = np.fft.rfft(x, n=n, axis=-1)
-    return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=n, axis=-1)[..., :T]
+    rows = x.reshape(-1, T)
+    out = np.empty(rows.shape)
+    step = _spectrum_rows(n)
+    for b in range(0, len(rows), step):
+        spectrum = np.fft.rfft(rows[b:b + step], n=n, axis=-1)
+        out[b:b + step] = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=n, axis=-1)[:, :T]
+    return out.reshape(x.shape)
 
 
 def dominant_frequencies(x, fs: float, band: tuple[float, float],
@@ -88,9 +103,10 @@ def dominant_frequencies(x, fs: float, band: tuple[float, float],
     in-band power is ``P[k] = sum_tau w_tau r[tau] cos(2 pi tau k / nfft)``
     from each row's autocorrelation ``r``: one GEMM against a cached
     cosine table (``_cosine_table``).  Otherwise the rows are zero-padded
-    and transformed ``_FFT_ROWS`` at a time, so the spectra held at once
-    do not grow with the row count.  The route depends only on
-    ``(T, nfft, band)``, so a stack and its single rows take the same one.
+    and transformed ``_spectrum_rows(nfft)`` at a time.  Either way the
+    spectra held at once fit ``_SPECTRUM_BYTES``, whatever the row count.
+    The route depends only on ``(T, nfft, band)``, so a stack and its
+    single rows take the same one.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -111,8 +127,9 @@ def dominant_frequencies(x, fs: float, band: tuple[float, float],
     else:
         rows = x.reshape(-1, T)
         peak = np.empty(len(rows), dtype=np.intp)
-        for b in range(0, len(rows), _FFT_ROWS):
-            spectra = np.fft.rfft(rows[b:b + _FFT_ROWS], n=nfft, axis=-1)[:, k0:k0 + m]
+        step = _spectrum_rows(nfft)
+        for b in range(0, len(rows), step):
+            spectra = np.fft.rfft(rows[b:b + step], n=nfft, axis=-1)[:, k0:k0 + m]
             peak[b:b + len(spectra)] = np.argmax(np.abs(spectra), axis=-1)
         peak = peak.reshape(x.shape[:-1])
     return freqs[k0:k0 + m][peak]

@@ -225,8 +225,11 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     win = sample_count(config.window_s, fs)
     step = sample_count(config.step_s, fs)
     hop = win // 2
-    if win % 2 or step < 1:
-        raise ConfigError("window must be an even number of samples and step >= 1")
+    # under 4 samples, no SSA window fits 2 <= L <= hop
+    if win < 4 or win % 2 or step < 1:
+        raise ConfigError(f"window_s={config.window_s} and step_s={config.step_s} give "
+                          f"{win} and {step} samples at fs={fs}; the window must be an even "
+                          f"number of at least 4 samples and the step at least 1")
     if hop % step:
         raise ConfigError(f"step ({step}) must divide the half-window hop ({hop})")
     L = config.ssa_window or default_window_length(win, fs)

@@ -98,6 +98,13 @@ class TestExtract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_window_under_four_samples_names_the_window(self, tmp_path, clean_trace, capsys):
+        # 0.01 s is 0 samples at 30 Hz; the error used to name the SSA window
+        assert main(["extract", str(clean_trace), str(tmp_path / "out.csv"),
+                     "--window-s", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "window_s=0.01 " in err and "SSA" not in err
+
     def test_binary_input_exit_2(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         path.write_bytes(b"# fs=30\n\x80\xff,1,2,3\n")

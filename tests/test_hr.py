@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,21 +136,46 @@ def test_sliding_hr_tracks_tone():
 
 
 def test_spectral_peak_rows_match_single_series():
-    rng = np.random.default_rng(3)
-    t = np.arange(300) / FS
-    f0 = rng.uniform(0.8, 3.5, size=40)
-    x = np.sin(2 * np.pi * f0[:, None] * t) + 0.3 * rng.normal(size=(40, 300))
-    # the pulse band takes the cosine route; the full band, as candidate
-    # scoring searches it, takes the FFT route in blocks of 16 rows
-    for band, fft_route in [((0.7, 4.0), False), ((0.05, FS / 2), True)]:
-        freqs = np.fft.rfftfreq(8192, d=1.0 / FS)
-        m = np.count_nonzero((freqs >= band[0]) & (freqs <= band[1]))
-        assert (300 * m > hr._MAX_TABLE_ENTRIES) == fft_route
-        peaks = dominant_frequencies(x, FS, band, 8192)
-        assert peaks.shape == (40,)
-        rows = [float(dominant_frequencies(row, FS, band, 8192)) for row in x]
-        assert rows == peaks.tolist()
-        assert np.all(np.abs(peaks - f0) <= 0.05)
+    # row counts on both sides of dominant_frequencies' blocks: 3 rows on
+    # the FFT route at 8192 points, and 31 (30 Hz) or 15 (60 Hz) rows of
+    # autocorrelation on the cosine route
+    assert (hr._spectrum_rows(8192), hr._spectrum_rows(1024), hr._spectrum_rows(2048)) == (3, 31, 15)
+    for fs in (30.0, 60.0):
+        T = int(10 * fs)
+        t = np.arange(T) / fs
+        freqs = np.fft.rfftfreq(8192, d=1.0 / fs)
+        for n_rows in (1, 2, 3, 4, 7, 15, 16, 31, 32, 110):
+            rng = np.random.default_rng(n_rows)
+            f0 = rng.uniform(0.8, 3.5, size=n_rows)
+            x = np.sin(2 * np.pi * f0[:, None] * t) + 0.3 * rng.normal(size=(n_rows, T))
+            # the pulse band takes the cosine route; the full band, as
+            # candidate scoring searches it, takes the FFT route
+            for band, fft_route in [((0.7, 4.0), False), ((0.05, fs / 2), True)]:
+                m = np.count_nonzero((freqs >= band[0]) & (freqs <= band[1]))
+                assert (T * m > hr._MAX_TABLE_ENTRIES) == fft_route
+                peaks = dominant_frequencies(x, fs, band, 8192)
+                assert peaks.shape == (n_rows,)
+                rows = [float(dominant_frequencies(row, fs, band, 8192)) for row in x]
+                assert rows == peaks.tolist(), (fs, n_rows, band)
+                assert np.all(np.abs(peaks - f0) <= 0.05), (fs, n_rows, band)
+
+
+# The traced peak above the input, in KB.  numpy reports its buffers to
+# tracemalloc; in blocks of 16 rows the two searches read 2374 and 3924 KB.
+@pytest.mark.parametrize("fs, shape, band, bound_kb", [
+    (30.0, (110, 300), (0.05, 15.0), 1024),  # candidate scoring, FFT route
+    (60.0, (64, 600), (0.7, 4.0), 2048),     # reference search, cosine route
+], ids=["full-band-30hz", "pulse-band-60hz"])
+def test_transient_spectra_stay_bounded(fs, shape, band, bound_kb):
+    x = np.random.default_rng(0).normal(size=shape)
+    dominant_frequencies(x, fs, band)  # builds the cached cosine table
+    tracemalloc.start()
+    try:
+        dominant_frequencies(x, fs, band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_kb * 1024
 
 
 def per_window_sliding_hr(x, fs, win_s=10.0, step_s=1.0):

@@ -354,3 +354,12 @@ class TestRunPipeline:
         trace = generate(SynthConfig(hr_bpm=72.0, duration_s=20.0))
         with pytest.raises(ConfigError):
             run_pipeline(trace, PipelineConfig(step_s=1.3))
+
+    @pytest.mark.parametrize("window_s", [0.01, 0.04, 0.07])
+    def test_window_under_four_samples_blames_the_window(self, window_s):
+        # 0, 1 and 2 samples at 30 Hz: 0 and 2 passed the odd-window check
+        # and then failed on the SSA window, a setting left unset
+        trace = generate(SynthConfig(hr_bpm=72.0, duration_s=20.0))
+        with pytest.raises(ConfigError, match=f"window_s={window_s} ") as err:
+            run_pipeline(trace, PipelineConfig(window_s=window_s))
+        assert "SSA" not in str(err.value)
