@@ -21,12 +21,15 @@ DEFAULT_LAMBDA = 100.0
 # Both detrend routes lose about eps * lam^2 of relative accuracy on some
 # inputs (1e-4 at lam = 1e6), and lam^2 overflows near 1e154.
 MAX_LAMBDA = 1e6
+# Below sqrt(tiny), about 1.49e-154, lam^2 is subnormal or 0 and 1 / lam^2
+# overflows, so detrend would return NaN.
+MIN_LAMBDA = float(np.sqrt(np.finfo(float).tiny))
 
 
 def check_lambda(lam) -> float:
-    """``lam`` as a float, or ConfigError unless 0 < lam <= MAX_LAMBDA."""
-    if not (np.isfinite(lam) and 0 < lam <= MAX_LAMBDA):
-        raise ConfigError(f"lambda must be in (0, {MAX_LAMBDA:g}], got {lam}")
+    """``lam`` as a float, or ConfigError unless MIN_LAMBDA <= lam <= MAX_LAMBDA."""
+    if not (np.isfinite(lam) and MIN_LAMBDA <= lam <= MAX_LAMBDA):
+        raise ConfigError(f"lambda must be in [{MIN_LAMBDA:.3g}, {MAX_LAMBDA:g}], got {lam}")
     return float(lam)
 
 
@@ -121,8 +124,8 @@ def detrend(series, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
         ``(n_windows, T)`` analysis windows of ``run_pipeline``; each row
         is detrended on its own.
     lam : float
-        Smoothing parameter in (0, MAX_LAMBDA]; larger values remove
-        slower trends only.
+        Smoothing parameter in [MIN_LAMBDA, MAX_LAMBDA]; larger values
+        remove slower trends only.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim == 0 or x.shape[-1] < 3:

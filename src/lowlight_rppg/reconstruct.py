@@ -24,10 +24,12 @@ from .preprocess import (PULSE_BAND, DEFAULT_LAMBDA, bandpass, check_lambda, det
 from .selection import DEFAULT_SEC_CHN, SIGMA_INIT, reference_sigmas, select_rows
 from .ssa import _NUMPY_LAPACK, decompose_rows, default_window_length
 
-# run_pipeline takes the window stack through preprocessing and the
-# reference search, and the emitted windows through SSA, selection and
-# fusion, this many rows at a time, so peak memory does not grow with
-# the trace length.
+# run_pipeline filters the window stack, searches its reference HRs, and
+# takes the emitted windows through SSA, selection and fusion this many
+# rows at a time, so no stage's temporaries grow with the trace length.
+# The filtered blocks are kept until they are searched, in the first
+# emitted block's parts: n_windows * T * 8 bytes, 122 KB at 60 s / 30 Hz
+# and 533 KB at 120 s / 60 Hz (BENCH_28.json).
 _BLOCK_ROWS = 64
 
 # OpenBLAS's thread-count getters, found through numpy's LAPACK module
@@ -132,7 +134,8 @@ class PipelineConfig:
     ``band`` is the pulse band in Hz: it sets the bandpass, the range
     searched for the reference HR and the band of the spectral mask.  Its
     upper edge is checked against the trace's Nyquist frequency by
-    ``bandpass``.  ``lam`` is at most ``preprocess.MAX_LAMBDA``.
+    ``bandpass``.  ``lam`` lies in [``preprocess.MIN_LAMBDA``,
+    ``preprocess.MAX_LAMBDA``].
     """
 
     window_s: float = 10.0
@@ -160,13 +163,13 @@ class PipelineConfig:
 
 
 def _run_parts(func, start: int, stop: int, parts: int, *, _caller_waits: bool = False) -> list:
-    """``[func(s) for s in slices]`` over ``parts`` contiguous slices of
-    ``range(start, stop)`` (none empty), in order.  The caller runs the
-    first slice, and a new thread each of the others in a copy of the
-    caller's context, so that ``np.errstate`` holds there too; with
-    ``_caller_waits``, a new thread runs the first slice as well, unless it
-    is the only one.  Once every slice has ended, the exception of the
-    lowest-numbered one that failed is raised.
+    """``[func(i, s) for i, s in enumerate(slices)]`` over ``parts``
+    contiguous slices of ``range(start, stop)`` (none empty), in order.
+    The caller runs the first slice, and a new thread each of the others
+    in a copy of the caller's context, so that ``np.errstate`` holds there
+    too; with ``_caller_waits``, a new thread runs the first slice as well,
+    unless it is the only one.  Once every slice has ended, the exception
+    of the lowest-numbered one that failed is raised.
     """
     n = stop - start
     edges = [start + n * i // parts for i in range(parts + 1)]
@@ -175,7 +178,7 @@ def _run_parts(func, start: int, stop: int, parts: int, *, _caller_waits: bool =
 
     def run(i):
         try:
-            results[i] = func(slices[i])
+            results[i] = func(i, slices[i])
         except BaseException as exc:  # raised below, on the caller's thread
             errors[i] = exc
 
@@ -194,32 +197,88 @@ def _run_parts(func, start: int, stop: int, parts: int, *, _caller_waits: bool =
     return results
 
 
+class _References:
+    """The reference HRs of the filtered first-pass ``blocks`` and their
+    ``reference_sigmas``, searched by ``parts`` parts: part p searches
+    blocks p, p + parts, ...  The part that ends the last search computes
+    the sigmas.  ``wait`` returns once they are in, or raises the error of
+    the lowest block whose search failed, as one part searching the blocks
+    in order would; ``abort`` releases the parts waiting for a part that
+    never started.
+    """
+
+    def __init__(self, blocks: list, parts: int, fs: float, config: PipelineConfig):
+        self.blocks, self.parts, self.fs, self.config = blocks, parts, fs, config
+        self.f_r = np.empty(sum(map(len, blocks)))
+        self.sigma_fr = None
+        self._errors = {}  # block index -> exception
+        self._pending = parts
+        self._lock = threading.Lock()
+        self._done = threading.Event()
+
+    def search(self, part: int) -> None:
+        try:
+            for i in range(part, len(self.blocks), self.parts):
+                b = i * _BLOCK_ROWS
+                self.f_r[b:b + len(self.blocks[i])] = dominant_frequencies(
+                    self.blocks[i], self.fs, self.config.band)
+        except BaseException as exc:  # raised by wait, on every part
+            self._errors[i] = exc
+        with self._lock:
+            self._pending -= 1
+            if self._pending:
+                return
+        try:
+            if not self._errors:
+                self.sigma_fr = reference_sigmas(self.f_r, self.config.sigma_init)
+        except BaseException as exc:
+            self._errors[len(self.blocks)] = exc
+        self._done.set()
+
+    def abort(self, exc: BaseException) -> None:
+        self._errors.setdefault(len(self.blocks), exc)
+        self._done.set()
+
+    def wait(self) -> np.ndarray:
+        self._done.wait()
+        if self._errors:
+            raise self._errors[min(self._errors)]
+        return self.sigma_fr
+
+
 def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> PulseWave:
     """Extract the pulse wave from a raw trace.
 
     The green channel is cut into ``window_s`` windows every ``step_s``
     by ``window_stack`` (a trace shorter than one window is
     SeriesTooShort), an ``(n_windows, T)`` stack that runs through array
-    stages in blocks of ``_BLOCK_ROWS`` rows: ``detrend``, ``bandpass``
-    and ``hr.dominant_frequencies`` (within ``band``, at 8192 points) give
-    every window's samples and reference HR, and ``reference_sigmas`` its
-    dispersion.  The windows starting on half-window boundaries are then
-    emitted, in blocks too: a per-window SVD, and for the whole block one
-    component convolution (``decompose_rows``), one candidate search and
-    mask (``select_rows``), one Gaussian fusion (``fuse_rows``) and one
-    Hann overlap-add at 50% hop.  Analysis runs at the fine step purely for reference-HR
-    tracking; emitting every window would break the constant-overlap-add
-    normalization.
+    stages in blocks of ``_BLOCK_ROWS`` rows.  The first pass filters
+    every block (``detrend``, ``bandpass``).  The windows starting on
+    half-window boundaries are then emitted, in blocks too: a per-window
+    SVD, and for the whole block one component convolution
+    (``decompose_rows``), one candidate search and mask (``select_rows``),
+    one Gaussian fusion (``fuse_rows``) and one Hann overlap-add at 50%
+    hop.  The mask needs every window's reference HR
+    (``hr.dominant_frequencies`` within ``band``, at 8192 points) and
+    its dispersion (``reference_sigmas``), but no SVD does: so the first
+    emitted block searches the filtered blocks before its SVDs, and waits
+    for every search only before ``select_rows``.  Analysis runs at the
+    fine step purely for reference-HR tracking; emitting every window
+    would break the constant-overlap-add normalization.
 
     Called from the main thread while OpenBLAS reports one thread per call
     (asked at each call), the emitted windows of each block are split into
-    contiguous parts, one per core: the caller takes the first and a new
-    thread each of the others.  No window's result depends on the others
-    in its block, so the output is byte-identical to that of one part.
-    The first pass is split the same way by whole blocks, when there are
-    two or more, each part on a new thread while the caller waits; every
-    block is still filtered as the same stack, so its rounding is kept.
-    Other threads, such as ``sweep_report``'s workers, run one part.
+    contiguous parts, one per core: the caller takes the first, which
+    holds the fewest windows, and a new thread each of the others.  In the
+    first emitted block, part p of n searches the filtered blocks p,
+    p + n, ... before its SVDs.  No window's result depends on the others
+    in its block, and each filtered block is searched as one stack, so the
+    output is byte-identical to that of one part.  The first pass is split
+    the same way by whole blocks, when there are two or more, each part on
+    a new thread while the caller waits; every block is still filtered as
+    the same stack, so its rounding is kept.  Other threads, such as
+    ``sweep_report``'s workers, run one part, which takes the same steps
+    in the same order.
     """
     fs = trace.fs
     win = sample_count(config.window_s, fs)
@@ -244,35 +303,36 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     every = hop // step  # every this many windows, one is emitted
     parts = (_CORES if threading.current_thread() is threading.main_thread()
              and _blas_threads is not None and _blas_threads() == 1 else 1)
-    f_r = np.empty(len(windows))
-    blocks = range(0, len(windows), _BLOCK_ROWS)
+    starts = range(0, len(windows), _BLOCK_ROWS)
 
-    def first_pass(part: slice) -> list:
-        """Filter the blocks ``part`` of ``blocks``, write their reference
-        HRs and return copies of their emitted rows."""
-        emitted_rows = []
-        for b in blocks[part]:
-            segs = bandpass(detrend(windows[b:b + _BLOCK_ROWS], config.lam), fs,
-                            config.band[0], config.band[1])
-            f_r[b:b + len(segs)] = dominant_frequencies(segs, fs, config.band)
-            # keep a compact copy of the emitted rows, not views of the block
-            emitted_rows.extend(segs[(-b) % every::every].copy())
-        return emitted_rows
+    def filter_blocks(_, part: slice) -> list:
+        """Detrend and bandpass the blocks ``part`` of ``starts``."""
+        return [bandpass(detrend(windows[b:b + _BLOCK_ROWS], config.lam), fs,
+                         config.band[0], config.band[1]) for b in starts[part]]
 
     # The caller waits: a tracer's span around detrend on the caller would
     # otherwise enclose other threads' spans that it does not cover.
-    emitted_segs = [row for rows in _run_parts(first_pass, 0, len(blocks), parts,
-                                               _caller_waits=True) for row in rows]
-    sigma_fr = reference_sigmas(f_r, config.sigma_init)
+    blocks = [block for run in _run_parts(filter_blocks, 0, len(starts), parts,
+                                          _caller_waits=True) for block in run]
+    # views: the filtered blocks are kept for their search anyway
+    emitted_segs = [row for b, block in zip(starts, blocks) for row in block[(-b) % every::every]]
+    references = _References(blocks, min(parts, _BLOCK_ROWS, len(emitted_segs)), fs, config)
+    f_r = references.f_r
 
     n_accepted = np.zeros(len(windows), dtype=int)  # 0 and False where not emitted
     fallback = np.zeros(len(windows), dtype=bool)
-    emitted = (f_r[::every], sigma_fr[::every], n_accepted[::every], fallback[::every])
 
-    def fuse(rows: slice) -> np.ndarray:
-        """Fuse the emitted windows ``rows`` and write their flags."""
-        f, sigma, n_acc, fb = (a[rows] for a in emitted)
-        comps, sv = decompose_rows(np.array(emitted_segs[rows]), L, config.sec_chn)
+    def fuse(part: int, rows: slice) -> np.ndarray:
+        """Fuse the emitted windows ``rows``, the ``part``-th part of their
+        block, and write their flags; the first block searches the
+        references first."""
+        if rows.start < _BLOCK_ROWS:
+            references.search(part)
+        try:
+            comps, sv = decompose_rows(np.array(emitted_segs[rows]), L, config.sec_chn)
+        finally:  # a failed search outranks this part's own error, as on one part
+            sigma_fr = references.wait()
+        f, sigma, n_acc, fb = (a[::every][rows] for a in (f_r, sigma_fr, n_accepted, fallback))
         freqs, accepted, fb[:] = select_rows(comps, sv, fs, f, sigma, config.band)
         n_acc[:] = accepted.sum(axis=1)
         return fuse_rows(comps, freqs, accepted, f, sigma)
@@ -280,10 +340,15 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     samples = np.zeros((len(emitted_segs) + 1) * hop)
     for c in range(0, len(emitted_segs), _BLOCK_ROWS):
         stop = min(c + _BLOCK_ROWS, len(emitted_segs))
-        fused = np.concatenate(_run_parts(fuse, c, stop, parts))
+        try:
+            fused = np.concatenate(_run_parts(fuse, c, stop, parts))
+        except BaseException as exc:  # a thread that failed to start leaves parts waiting
+            references.abort(exc)
+            raise
         overlap_add_rows(samples[c * hop:(stop + 1) * hop], fused, hop)
     records = tuple(WindowRecord(t_start=i * step / fs, f_r=f, sigma_fr=sigma, n_accepted=n,
                                  fallback=fb, emitted=i % every == 0)
                     for i, (f, sigma, n, fb) in enumerate(zip(
-                        f_r.tolist(), sigma_fr.tolist(), n_accepted.tolist(), fallback.tolist())))
+                        f_r.tolist(), references.sigma_fr.tolist(), n_accepted.tolist(),
+                        fallback.tolist())))
     return PulseWave(samples=np.ldexp(samples, exponent), fs=fs, window_flags=records)

@@ -88,8 +88,9 @@ class TestExtract:
         (lambda lines: lines, ["--lambda", "1e300"]),
         (lambda lines: lines, ["--ssa-window", "200"]),
         (lambda lines: lines, ["--window-s", "0.01"]),
+        (lambda lines: lines, ["--lambda", "1e-300"]),
     ], ids=["nan-sample", "fs-inf", "sec-chn-0", "band-above-nyquist", "lambda-1e8",
-            "lambda-1e300", "ssa-window-above-half", "window-under-4-samples"])
+            "lambda-1e300", "ssa-window-above-half", "window-under-4-samples", "lambda-1e-300"])
     def test_bad_input_exit_2_without_traceback(self, tmp_path, clean_trace,
                                                 capsys, edit, flags):
         path = tmp_path / "bad.csv"

@@ -7,7 +7,8 @@ from scipy.signal import butter, freqz_zpk, sosfiltfilt, sosfreqz
 
 from lowlight_rppg import bandpass, detrend
 from lowlight_rppg.errors import ConfigError, NonFiniteInput, NyquistViolation, SeriesTooShort
-from lowlight_rppg.preprocess import MAX_LAMBDA, _butter_bandpass, _settling_length
+from lowlight_rppg.preprocess import (MAX_LAMBDA, MIN_LAMBDA, _butter_bandpass,
+                                     _settling_length)
 
 GRID_FS = (25.0, 30.0, 60.0, 120.0)
 # (0.7, 11) gives a section with two real poles at every odd order
@@ -138,7 +139,8 @@ class TestDetrend:
         with pytest.raises(NonFiniteInput):
             detrend([1.0, np.nan, 2.0, 3.0], 100.0)
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf, 2 * MAX_LAMBDA, 1e300])
+    # below about 1.49e-154, lam^2 is subnormal and 1 / lam^2 overflows to inf
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf, 2 * MAX_LAMBDA, 1e300, 1e-160])
     def test_lambda_out_of_range(self, lam):
         with pytest.raises(ConfigError):
             detrend(np.arange(300.0) ** 2, lam)
@@ -148,6 +150,14 @@ class TestDetrend:
         x = np.random.default_rng(4).normal(size=(2, 300))
         ref = x - long_double_trend(x, MAX_LAMBDA)
         assert np.max(np.abs(detrend(x, MAX_LAMBDA) - ref)) <= 1e-3 * np.max(np.abs(x))
+
+    def test_lambda_at_the_lower_bound(self):
+        # the trend follows x, so the output is rounding noise, with no warning
+        x = np.random.default_rng(4).normal(size=(2, 300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = detrend(x, MIN_LAMBDA)
+        assert np.max(np.abs(out)) <= 1e-13 * np.max(np.abs(x))
 
 
 class TestBandpass:

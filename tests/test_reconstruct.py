@@ -297,6 +297,8 @@ class TestRunPipeline:
         ("lam", float("nan")), ("sigma_init", float("inf")), ("step_s", -float("inf")),
         pytest.param("window_s", 10**400, id="window_s-huge-int"),
         ("band", (0.7, 10**400)),
+        # lam^2 underflows, and detrend returned NaN
+        ("lam", 1e-300),
     ])
     def test_config_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ConfigError):

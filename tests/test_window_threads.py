@@ -15,7 +15,7 @@ import pytest
 
 import lowlight_rppg
 from lowlight_rppg import PipelineConfig, SynthConfig, generate, reconstruct, run_pipeline
-from lowlight_rppg.errors import NoComponents, NonFiniteInput
+from lowlight_rppg.errors import DecompositionFailure, NoComponents, NonFiniteInput
 
 CORES = reconstruct._CORES
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lowlight_rppg.__file__)))
@@ -398,3 +398,112 @@ def test_first_pass_error_of_block_2_reaches_the_caller(monkeypatch, parts):
     with pytest.raises(NonFiniteInput):
         run_pipeline(_trace(30.0, 100.0))
     assert failed_on_main == [parts == 1]
+
+
+
+def _spy(monkeypatch, name, before):
+    """Run ``before`` with the arguments of every ``reconstruct.<name>``
+    call, which it may fail by raising, before the call."""
+    real = getattr(reconstruct, name)
+
+    def spy(*args):
+        before(*args)
+        return real(*args)
+    monkeypatch.setattr(reconstruct, name, spy)
+
+
+def _on_main():
+    return threading.current_thread() is threading.main_thread()
+
+
+def test_helper_decomposes_during_the_callers_search(monkeypatch):
+    # 60 s at 30 Hz is one block, searched by the caller's part while the
+    # helper starts its part's SVDs: the search holds until they start
+    _force_parts(monkeypatch, 2)
+    helper_decomposing, overlapped = threading.Event(), []
+    _spy(monkeypatch, "decompose_rows",
+         lambda *args: _on_main() or helper_decomposing.set())
+    _spy(monkeypatch, "dominant_frequencies",
+         lambda *args: overlapped.append(_on_main() and helper_decomposing.wait(timeout=30)))
+    run_pipeline(_trace(30.0, 60.0))
+    assert overlapped == [True]
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_selection_waits_for_every_search(monkeypatch, parts):
+    # 140 s at 30 Hz: blocks of 64, 64 and 3 windows and one emitted block;
+    # a helper's search holds until the caller's SVDs start, so a part
+    # that did not wait would select before that search ends
+    _force_parts(monkeypatch, parts)
+    caller_decomposing, lock = threading.Event(), threading.Lock()
+    searched, seen_by_selection = [], []
+    real = reconstruct.dominant_frequencies
+
+    def dominant_frequencies(rows, *args):
+        if not _on_main():
+            caller_decomposing.wait(timeout=30)
+        out = real(rows, *args)
+        with lock:
+            searched.append(len(rows))
+        return out
+    monkeypatch.setattr(reconstruct, "dominant_frequencies", dominant_frequencies)
+    _spy(monkeypatch, "decompose_rows", lambda *args: _on_main() and caller_decomposing.set())
+    _spy(monkeypatch, "select_rows", lambda *args: seen_by_selection.append(sorted(searched)))
+    run_pipeline(_trace(30.0, 140.0))
+    assert seen_by_selection == [[3, 64, 64]] * parts
+
+
+def test_two_blocks_are_searched_on_two_threads(monkeypatch):
+    # the caller searches block 1 and the helper block 2
+    _force_parts(monkeypatch, 2)
+    names = []
+    _spy(monkeypatch, "dominant_frequencies",
+         lambda *args: names.append(threading.current_thread().name))
+    run_pipeline(_pool_entry_0_60hz())
+    assert len(names) == len(set(names)) == 2 and threading.main_thread().name in names
+
+
+@pytest.mark.parametrize("other", ["select_rows", "decompose_rows"])
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_failed_search_outranks_the_other_parts_errors(monkeypatch, parts, other):
+    # 100 s at 30 Hz: blocks of 64 and 27 windows and 19 emitted windows.
+    # Block 2's search fails (on a helper at 2 or more parts), and so does
+    # every selection, or every part's SVDs: the caller gets the search's
+    # error, as on one part, where the search comes first
+    _force_parts(monkeypatch, parts)
+    failed_on_main = []
+
+    def block_2(rows, *args):
+        if len(rows) < reconstruct._BLOCK_ROWS:
+            failed_on_main.append(_on_main())
+            raise NonFiniteInput("block 2 holds a NaN")
+
+    def fail(*args):
+        raise (NoComponents if other == "select_rows" else DecompositionFailure)(other)
+    _spy(monkeypatch, "dominant_frequencies", block_2)
+    _spy(monkeypatch, other, fail)
+    before = set(threading.enumerate())
+    with pytest.raises(NonFiniteInput, match="^block 2 holds a NaN$"):
+        run_pipeline(_trace(30.0, 100.0))
+    assert failed_on_main == [parts == 1]
+    assert set(threading.enumerate()) == before
+
+
+def test_thread_that_fails_to_start_leaves_no_part_waiting(monkeypatch):
+    # the second helper of the emitted block does not start: the first,
+    # waiting for the references of parts that never run, is released
+    _force_parts(monkeypatch, 3)
+    real = threading.Thread.start
+    starts = []
+
+    def start(self):
+        starts.append(self)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        real(self)
+    before = set(threading.enumerate())
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        run_pipeline(_trace(30.0, 60.0))
+    starts[0].join(timeout=30)
+    assert not starts[0].is_alive() and set(threading.enumerate()) == before
