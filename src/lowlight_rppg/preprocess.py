@@ -307,11 +307,13 @@ def _reversed_after(y, padlen: int) -> np.ndarray:
     return y[:, :padlen - 1:-1] if padlen else y[:, ::-1]
 
 
-def _settling_length(poles) -> int:
-    """Samples for the slowest of ``poles`` to decay below 1%."""
+def _settling_length(poles) -> int | None:
+    """Samples for the slowest of ``poles`` to decay below 1%; None if it
+    never does, where a band edge near 0 Hz or Nyquist rounds it onto the
+    unit circle."""
     r = np.max(np.abs(poles))
     if r >= 1.0:
-        return np.iinfo(np.int32).max
+        return None
     return int(np.ceil(np.log(1e-2) / np.log(r)))
 
 
@@ -328,8 +330,9 @@ def bandpass(series, fs: float, low: float = PULSE_BAND[0],
     overlap-add stage; HR estimation uses spectral peaks so phase is
     irrelevant anyway.  Both signal ends are odd-reflection-padded by
     ``min(T - 1, 3 x settling length)`` samples to suppress edge
-    transients.  The output is ``scipy.signal.sosfiltfilt``'s with
-    ``padtype="odd"`` and that ``padlen``, up to rounding.
+    transients (T - 1, with a warning, where the filter does not settle).
+    The output is ``scipy.signal.sosfiltfilt``'s with ``padtype="odd"``
+    and that ``padlen``, up to rounding.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim == 0 or x.shape[-1] == 0:
@@ -341,13 +344,12 @@ def bandpass(series, fs: float, low: float = PULSE_BAND[0],
     poles, gain = _butter_bandpass(order, low, high, fs)
     settle = _settling_length(poles)
     n = x.shape[-1]
-    if n < 3 * settle:
-        warnings.warn(
-            f"series of {n} samples is shorter than 3x the filter "
-            f"settling length ({settle} samples); edge transients may remain",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    padlen = min(n - 1, 3 * settle)
+    if settle is None or n < 3 * settle:
+        reason = (f"the [{low}, {high}] Hz filter does not settle: a pole lies on the unit "
+                  f"circle" if settle is None else
+                  f"series of {n} samples is shorter than 3x the filter settling length "
+                  f"({settle} samples)")
+        warnings.warn(f"{reason}; edge transients may remain", RuntimeWarning, stacklevel=2)
+    padlen = n - 1 if settle is None else min(n - 1, 3 * settle)
     y = _filtfilt(poles, gain, x.reshape(-1, n), padlen)
     return y.reshape(x.shape)

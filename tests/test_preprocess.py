@@ -242,6 +242,18 @@ class TestBandpass:
         with pytest.warns(RuntimeWarning):
             bandpass(np.sin(2 * np.pi * 1.5 * t), self.fs)
 
+    @pytest.mark.parametrize("low", [1e-300, 1e-20])
+    def test_filter_that_never_settles_warns_without_a_length(self, low):
+        # the slowest pole rounds onto the unit circle: no settling length
+        t = np.arange(600) / 60.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            y = bandpass(np.sin(2 * np.pi * 1.5 * t), 60.0, low=low)
+        assert [str(w.message) for w in caught] == [
+            f"the [{low}, 4.0] Hz filter does not settle: a pole lies on the unit circle; "
+            f"edge transients may remain"]
+        assert np.all(np.isfinite(y))
+
     def test_short_stack_warns_once_per_call(self):
         t = np.arange(60) / self.fs
         x = np.tile(np.sin(2 * np.pi * 1.5 * t), (5, 1))

@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import threading
 
@@ -7,7 +8,8 @@ import pytest
 from scipy.linalg import hankel
 
 from lowlight_rppg import decompose_rows, dominant_frequencies, ssa
-from lowlight_rppg.errors import DecompositionFailure, InvalidWindowLength, NonFiniteInput
+from lowlight_rppg.errors import (ConfigError, DecompositionFailure, InvalidWindowLength,
+                                  NonFiniteInput)
 from lowlight_rppg.preprocess import PULSE_BAND, bandpass
 from lowlight_rppg.ssa import default_window_length
 from oracles import diagonal_average, hankel_embed, svd_components
@@ -174,10 +176,27 @@ def _window(T, L, fs=30.0, seed=0):
     return bandpass(x, fs)
 
 
-@pytest.mark.skipif(ssa._DSYEVR is None, reason="numpy's LAPACK exports no 64-bit dsyevr")
+def _failing(routine: str, info: int, calls=None):
+    """``ssa._MRRR`` with ``routine`` returning ``info`` on its solves
+    (its workspace query passes), or only on the solves whose 0-based
+    index is in ``calls``."""
+    names = tuple(ssa._PROTOTYPES)  # the order of ssa._MRRR
+    real = ssa._MRRR[names.index(routine)]
+    lwork = 18 if routine == "dstemr" else -1  # where the routine takes lwork
+    solves = itertools.count()
+
+    def fake(*args):
+        if args[lwork] == -1:
+            return real(*args)
+        return info if calls is None or next(solves) in calls else real(*args)
+    return tuple(fake if name == routine else func for name, func in zip(names, ssa._MRRR))
+
+
+@pytest.mark.skipif(ssa._MRRR is None,
+                    reason="numpy's LAPACK exports no 64-bit dsytrd, dstemr and dormtr")
 class TestSubsetSolver:
-    """The top-k route's eigenvectors from LAPACK's dsyevr, against those of
-    np.linalg.eigh (``_DSYEVR`` patched to None)."""
+    """The top-k route's eigenvectors by MRRR (LAPACK's dsytrd, dstemr and
+    dormtr), against those of np.linalg.eigh (``_MRRR`` patched to None)."""
 
     # The kept triples' rank-1 sums agree within ``tol`` of max |X|: both
     # routes take the SVD of Q'X in an orthonormal basis of the leading
@@ -198,7 +217,7 @@ class TestSubsetSolver:
     ], ids=["L100", "L200", "noise-L200", "pure-tone", "sine-cosine-pair", "zero", "2k-equals-L"])
     def test_matches_eigh_route(self, monkeypatch, X, tol):
         subset = svd_components(X, 10)
-        monkeypatch.setattr(ssa, "_DSYEVR", None)
+        monkeypatch.setattr(ssa, "_MRRR", None)
         full = svd_components(X, 10)
         assert len(subset) == len(full)
         diff = np.abs(_rank_k_sum(subset) - _rank_k_sum(full))
@@ -210,15 +229,25 @@ class TestSubsetSolver:
         (s1, _, _), (s2, _, _) = svd_components(_sinusoid_hankel([1.2]), 10)
         assert abs(s1 - s2) <= 0.01 * s1
 
-    def test_solver_failure_is_a_decomposition_failure(self, monkeypatch):
-        real = ssa._DSYEVR
-
-        def dsyevr(*args):  # the workspace query passes, the solve fails
-            info = real(*args)
-            return info if args[18] == -1 else 3
-        monkeypatch.setattr(ssa, "_DSYEVR", dsyevr)
-        with pytest.raises(DecompositionFailure, match="info 3"):
+    @pytest.mark.parametrize("routine", ["dsytrd", "dormtr"])
+    def test_routine_failure_is_a_decomposition_failure(self, monkeypatch, routine):
+        monkeypatch.setattr(ssa, "_MRRR", _failing(routine, -3))
+        with pytest.raises(DecompositionFailure, match=f"{routine} failed with info -3"):
             decompose_rows(np.random.default_rng(18).normal(size=(2, 300)), 100, 10)
+
+    def test_mrrr_failure_sends_that_row_to_eigh(self, monkeypatch):
+        rows = np.array([_window(300, 100, seed=s) for s in range(3)])
+        mrrr = decompose_rows(rows, 100, 10)
+        failing = _failing("dstemr", 2, calls={1})
+        monkeypatch.setattr(ssa, "_MRRR", None)
+        eigh = decompose_rows(rows, 100, 10)
+        monkeypatch.setattr(ssa, "_MRRR", failing)
+        mixed = decompose_rows(rows, 100, 10)
+        for got, want_mrrr, want_eigh in zip(mixed, mrrr, eigh):
+            assert want_mrrr[1].tobytes() != want_eigh[1].tobytes()  # the routes differ
+            assert got[1].tobytes() == want_eigh[1].tobytes()
+            for i in (0, 2):
+                assert got[i].tobytes() == want_mrrr[i].tobytes()
 
     def test_threads_give_the_serial_bytes(self):
         # each decompose_rows call owns its solver workspace: four threads
@@ -254,16 +283,15 @@ class TestSubsetSolver:
             assert sv.tobytes() == serial[j][1].tobytes()
 
 
-def test_dsyevr_found_where_numpy_names_scipy_openblas():
-    # guards the subset solver against a wheel whose LAPACK no longer
-    # exports it under a 64-bit name, which would fall back to eigh
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):  # a numpy that only prints its build config
-        pytest.skip("numpy does not name its BLAS")
-    if "scipy-openblas" not in blas.lower():
-        pytest.skip(f"numpy's BLAS is {blas}")
-    assert ssa._DSYEVR is not None
+@pytest.mark.parametrize("routine", ["dsytrd", "dstemr", "dormtr"])
+def test_mrrr_routine_found_where_numpy_exports_scipy_openblas(routine):
+    # guards the MRRR route against a wheel whose LAPACK no longer exports a
+    # routine under a 64-bit name, which would send every window to eigh
+    getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+    if not any(hasattr(ssa._NUMPY_LAPACK, name) for name in getters):
+        pytest.skip("numpy's LAPACK module exports no scipy_openblas symbols")
+    names = [name.format(routine) for name in ssa._LAPACKE_NAMES]
+    assert any(hasattr(ssa._NUMPY_LAPACK, name) for name in names), names
 
 
 class TestDiagonalAverage:
@@ -389,6 +417,20 @@ class TestDecompose:
         assert np.array_equal(comps, np.concatenate([c for c, _ in singles]))
         assert np.array_equal(sv, np.concatenate([s for _, s in singles]))
         assert [np.count_nonzero(row_sv) for row_sv in sv] == [2, k, 0, k, 2, k, k]
+
+    @pytest.mark.parametrize("L, k, name", [
+        (100, 0, "k"), (100, -1, "k"), (100, 10.0, "k"), (100, True, "k"),
+        (100.0, 10, "L"), (np.float64(100), 10, "L"), (1, 10, "L"),
+    ], ids=["k-zero", "k-negative", "k-float", "k-bool", "L-float", "L-numpy-float", "L-one"])
+    def test_bad_counts_are_config_errors_before_lapack(self, capfd, L, k, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            decompose_rows(np.ones((2, 300)), L, k)
+        assert capfd.readouterr().err == ""  # nothing from LAPACK's argument check
+
+    @pytest.mark.parametrize("shape", [(300,), (), (2, 3, 300)])
+    def test_rows_not_2d_raise_value_error(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            decompose_rows(np.ones(shape), 100, 10)
 
     @pytest.mark.parametrize("row", [0, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
