@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 from .errors import ConfigError, InvalidHeader, PairingError, ParseError, RppgError
 from .hr import estimate_hr, estimate_hr_series, sliding_hr
@@ -268,16 +269,25 @@ _INPUT_ERRORS = (ParseError, InvalidHeader, ConfigError, PairingError, OSError,
                  json.JSONDecodeError, UnicodeDecodeError)
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` for a command: the message alone, with no
+    path or source line of the library code that raised it."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RppgError as exc:
-        print(f"processing error: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
+    # catch_warnings restores the caller's showwarning on return
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except _INPUT_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except RppgError as exc:
+            print(f"processing error: {exc}", file=sys.stderr)
+            return EXIT_PROCESSING
 
 
 if __name__ == "__main__":

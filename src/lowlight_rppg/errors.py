@@ -87,7 +87,8 @@ class InvalidWindowLength(RppgError):
 
 
 class DecompositionFailure(RppgError):
-    """SVD failed to converge."""
+    """The SVD failed to converge, or a LAPACK routine of the SSA
+    eigensolver reported a failure (the message names the routine)."""
 
 
 # --- selection / reconstruction ---

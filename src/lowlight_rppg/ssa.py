@@ -28,34 +28,34 @@ def default_window_length(T: int, fs: float) -> int:
     return int(np.clip(T // 3, min(lo, hi), hi))
 
 
-# LAPACKE's routines for the top eigenpairs of a symmetric matrix by MRRR
-# (multiple relatively robust representations): dsytrd reduces the matrix to
-# tridiagonal form, dstemr finds the wanted eigenpairs of the tridiagonal and
-# dormtr maps their vectors back.  LAPACK's driver dsyevr chains the same
-# steps but takes dstemr only when every eigenvalue is wanted; for an index
-# subset it falls back to bisection and inverse iteration (dstebz + dstein).
-# Each is taken under the first of these names, whose ``64_`` suffix fixes
-# its integers at 64 bits; an unsuffixed ``LAPACKE_*_work`` may take 32- or
-# 64-bit ones, and a wrong guess corrupts memory.
+# LAPACKE's routines for the top eigenpairs of a symmetric matrix: dsytrd
+# reduces the matrix to tridiagonal form, dsterf finds all the tridiagonal's
+# eigenvalues (root-free QL/QR), dstein finds the wanted ones' eigenvectors
+# by inverse iteration and dormtr maps them back.  dstemr (MRRR) and dsyevr
+# find an index subset's eigenvalues by bisection, which costs more at the
+# L of a window than dsterf finding all of them.  Each routine is taken under
+# the first of these names, whose ``64_`` suffix fixes its integers at 64
+# bits; an unsuffixed ``LAPACKE_*_work`` may take 32- or 64-bit ones, and a
+# wrong guess corrupts memory.
 _LAPACKE_NAMES = ("scipy_LAPACKE_{}_work64_", "LAPACKE_{}_work64_")
-_i, _d, _c, _p = ctypes.c_int64, ctypes.c_double, ctypes.c_char, ctypes.c_void_p
+_i, _c, _p = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p
 _PROTOTYPES = {
     # layout, uplo, n, a, lda, d, e, tau, work, lwork
     "dsytrd": [ctypes.c_int, _c, _i, _p, _i, _p, _p, _p, _p, _i],
-    # layout, jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz,
-    # tryrac, work, lwork, iwork, liwork
-    "dstemr": [ctypes.c_int, _c, _c, _i, _p, _p, _d, _d, _i, _i, _p, _p, _p, _i, _i, _p, _p,
-               _p, _i, _p, _i],
+    # n, d, e
+    "dsterf": [_i, _p, _p],
+    # layout, n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifailv
+    "dstein": [ctypes.c_int, _i, _p, _p, _i, _p, _p, _p, _p, _i, _p, _p, _p],
     # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
     "dormtr": [ctypes.c_int, _c, _c, _c, _i, _i, _p, _i, _p, _p, _i, _p, _i],
 }
 _COLUMN_MAJOR = 102
 
 
-def _lapacke_mrrr(lib):
-    """``(dsytrd, dstemr, dormtr)`` from ``lib``, under the first of
-    ``_LAPACKE_NAMES`` each is found by, with their C prototypes; None if
-    ``lib`` lacks any of them."""
+def _lapacke_routines(lib):
+    """``(dsytrd, dsterf, dstein, dormtr)`` from ``lib``, under the first
+    of ``_LAPACKE_NAMES`` each is found by, with their C prototypes; None
+    if ``lib`` lacks any of them."""
     routines = []
     for routine, argtypes in _PROTOTYPES.items():
         names = [name.format(routine) for name in _LAPACKE_NAMES]
@@ -71,7 +71,7 @@ def _lapacke_mrrr(lib):
 # up OpenBLAS's thread getter in it too.
 _NUMPY_LAPACK = ctypes.CDLL(np.linalg._umath_linalg.__file__)
 # None (numpy on MKL or Accelerate, Windows): ``np.linalg.eigh``.
-_MRRR = _lapacke_mrrr(_NUMPY_LAPACK)
+_LAPACKE = _lapacke_routines(_NUMPY_LAPACK)
 
 
 def _checked(routine: str, info: int) -> None:
@@ -84,68 +84,73 @@ def _leading_basis(L: int, k: int):
     of the lag covariance X X' of an L x K matrix X, as the columns of an
     (L, k) array, descending, valid until its next call.
 
-    With ``_MRRR``, only those ``k`` eigenpairs are computed: ``dsytrd``
-    reduces X X' to a tridiagonal, ``dstemr`` takes its top ``k``
-    eigenpairs by MRRR, and ``dormtr`` maps the ``k`` vectors back.  A
-    window where ``dstemr`` reports an internal failure (info > 0) takes
-    the ``np.linalg.eigh`` route, as every window does without
-    ``_MRRR``; ``eigh`` computes all L eigenpairs.
+    With ``_LAPACKE``, only those ``k`` eigenvectors are computed:
+    ``dsytrd`` reduces X X' to a tridiagonal, ``dsterf`` finds all its L
+    eigenvalues, ``dstein`` the eigenvectors of the top ``k`` by inverse
+    iteration, and ``dormtr`` maps the ``k`` vectors back.  A window where
+    ``dsterf`` or ``dstein`` reports an internal failure (info > 0), or
+    whose tridiagonal is zero (X = 0, where inverse iteration has no scale),
+    takes the ``np.linalg.eigh`` route, as every window does without
+    ``_LAPACKE``; ``eigh`` computes all L eigenpairs.
 
     It owns one L x L buffer for X X', the tridiagonal and the vectors,
-    and one workspace that the three routines use in turn, sized by one
-    query of each here: the rows of one ``decompose_rows`` call share
-    them, and no two calls (or threads) do.
+    and one workspace that the four routines use in turn, sized by one
+    query of ``dsytrd`` and ``dormtr`` here (``dstein`` takes 5 L): the
+    rows of one ``decompose_rows`` call share them, and no two calls (or
+    threads) do.
     """
     gram = np.empty((L, L))
 
     def eigh(X):
         return np.linalg.eigh(np.matmul(X, X.T, out=gram))[1][:, ::-1][:, :k]
-    if _MRRR is None:
+    if _LAPACKE is None:
         return eigh
-    dsytrd, dstemr, dormtr = _MRRR
-    # the diagonal, the off-diagonal (whose last element dstemr uses as
-    # workspace), the reflectors' scalars and the eigenvalues
-    d, e, tau, w = np.empty(L), np.empty(L), np.empty(L), np.empty(L)
-    z, isuppz = np.empty((k, L)), np.empty(2 * k, np.int64)
-    m, tryrac = np.empty(1, np.int64), np.empty(1, np.int64)
+    dsytrd, dsterf, dstein, dormtr = _LAPACKE
+    # the diagonal, the off-diagonal (its last element unused, zeroed so
+    # nothing reads memory no routine wrote), the copies dsterf overwrites
+    # with the eigenvalues (ascending) and the reflectors' scalars
+    d, e, values, e_copy, tau = np.empty(L), np.zeros(L), np.empty(L), np.empty(L), np.empty(L)
+    # dstein's arguments for the top k eigenvalues, all in the one block
+    # that ends at row L
+    iblock, isplit = np.ones(k, np.int64), np.array([L], np.int64)
+    iwork, ifail = np.empty(L, np.int64), np.empty(k, np.int64)
+    z = np.empty((k, L))
 
     # gram is read in place as column-major, which its symmetry allows, and
-    # the vectors land in the rows of z.  lwork = liwork = -1 writes the
-    # workspace sizes to work[0] and iwork[0].
+    # the vectors land in the rows of z.  lwork = -1 writes the workspace
+    # size to work[0].
     def tridiagonalize(work, lwork: int) -> int:
         return dsytrd(_COLUMN_MAJOR, b"U", L, gram.ctypes.data, L, d.ctypes.data, e.ctypes.data,
                       tau.ctypes.data, work.ctypes.data, lwork)
-
-    def solve(work, lwork: int, iwork, liwork: int) -> int:
-        # eigenpairs L-k+1..L (1-based, ascending); dstemr clears tryrac
-        # where it cannot reach high relative accuracy
-        tryrac[0] = 1
-        return dstemr(_COLUMN_MAJOR, b"V", b"I", L, d.ctypes.data, e.ctypes.data, 0.0, 0.0,
-                      L - k + 1, L, m.ctypes.data, w.ctypes.data, z.ctypes.data, L, k,
-                      isuppz.ctypes.data, tryrac.ctypes.data, work.ctypes.data, lwork,
-                      iwork.ctypes.data, liwork)
 
     def back_transform(work, lwork: int) -> int:
         return dormtr(_COLUMN_MAJOR, b"L", b"U", b"N", L, k, gram.ctypes.data, L,
                       tau.ctypes.data, z.ctypes.data, L, work.ctypes.data, lwork)
 
-    work, iwork = np.empty(1), np.empty(1, np.int64)
+    work = np.empty(1)
     _checked("dsytrd", tridiagonalize(work, -1))
     lwork = work[0]
     _checked("dormtr", back_transform(work, -1))
-    lwork = max(lwork, work[0])
-    _checked("dstemr", solve(work, -1, iwork, -1))
-    work, iwork = np.empty(int(max(lwork, work[0]))), np.empty(int(iwork[0]), np.int64)
+    work = np.empty(int(max(lwork, work[0], 5 * L)))
 
     def basis(X):
         np.matmul(X, X.T, out=gram)
         _checked("dsytrd", tridiagonalize(work, len(work)))
-        info = solve(work, len(work), iwork, len(iwork))
+        if not (d.any() or e.any()):
+            return eigh(X)
+        np.copyto(values, d)
+        np.copyto(e_copy, e)
+        info = dsterf(L, values.ctypes.data, e_copy.ctypes.data)
         if info > 0:
             return eigh(X)
-        _checked("dstemr", info)
-        if m[0] != k:
-            raise DecompositionFailure(f"dstemr found {m[0]} of {k} eigenpairs")
+        _checked("dsterf", info)
+        top = values[L - k:]  # ascending, as dstein wants them
+        info = dstein(_COLUMN_MAJOR, L, d.ctypes.data, e.ctypes.data, k, top.ctypes.data,
+                      iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, L,
+                      work.ctypes.data, iwork.ctypes.data, ifail.ctypes.data)
+        if info > 0:
+            return eigh(X)
+        _checked("dstein", info)
         _checked("dormtr", back_transform(work, len(work)))
         return z[::-1].T
     return basis
@@ -219,7 +224,8 @@ def decompose_rows(rows, L: int, k: int):
     matrix holds exactly its T samples, so the row's exponent is the
     matrix's.  The SVD then runs row by row on one reused Hankel buffer,
     lag covariance buffer and eigensolver workspace (``_leading_basis``:
-    the top ``k`` eigenpairs by MRRR), made per call, so that threads share none; the components,
+    all eigenvalues of the tridiagonal, then the top ``k`` eigenvectors by
+    inverse iteration), made per call, so that threads share none; the components,
     convolutions of sigma_p u_p with v_p over the anti-diagonal counts,
     come from one ``rfft``/``irfft`` pair of 2^ceil(log2 T) points.
     """

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,19 @@ class TestExtract:
         lines = ["# fs=30"] + [f"{i},1,{1 + 0.1 * (i % 7)},1" for i in range(60)]
         path.write_text("\n".join(lines) + "\n")
         assert main(["extract", str(path), str(tmp_path / "out.csv")]) == 3
+
+    def test_library_warning_is_one_line(self, tmp_path, capfd):
+        # a 4 Hz band's filter settles over more than a 300-sample window:
+        # the warning is printed without the library's path and source line
+        path = tmp_path / "trace.csv"
+        save_trace_csv(generate(SynthConfig(duration_s=20.0)), path)
+        showwarning = warnings.showwarning
+        assert main(["extract", str(path), str(tmp_path / "out.csv"),
+                     "--band-low", "3.9", "--band-high", "4.0"]) == 0
+        assert capfd.readouterr().err == (
+            "warning: series of 300 samples is shorter than 3x the filter settling length "
+            "(887 samples); edge transients may remain\n")
+        assert warnings.showwarning is showwarning  # library callers' handler is back
 
     @pytest.mark.filterwarnings("ignore:series of")
     def test_hr_minimum_follows_window(self, tmp_path):

@@ -177,26 +177,35 @@ def _window(T, L, fs=30.0, seed=0):
 
 
 def _failing(routine: str, info: int, calls=None):
-    """``ssa._MRRR`` with ``routine`` returning ``info`` on its solves
-    (its workspace query passes), or only on the solves whose 0-based
-    index is in ``calls``."""
-    names = tuple(ssa._PROTOTYPES)  # the order of ssa._MRRR
-    real = ssa._MRRR[names.index(routine)]
-    lwork = 18 if routine == "dstemr" else -1  # where the routine takes lwork
+    """``ssa._LAPACKE`` with ``routine`` returning ``info`` on its solves
+    (its workspace query, if it has one, passes), or only on the solves
+    whose 0-based index is in ``calls``."""
+    names = tuple(ssa._PROTOTYPES)  # the order of ssa._LAPACKE
+    real = ssa._LAPACKE[names.index(routine)]
+    queried = routine in ("dsytrd", "dormtr")  # both take lwork last
     solves = itertools.count()
 
     def fake(*args):
-        if args[lwork] == -1:
+        if queried and args[-1] == -1:
             return real(*args)
         return info if calls is None or next(solves) in calls else real(*args)
-    return tuple(fake if name == routine else func for name, func in zip(names, ssa._MRRR))
+    return tuple(fake if name == routine else func for name, func in zip(names, ssa._LAPACKE))
 
 
-@pytest.mark.skipif(ssa._MRRR is None,
-                    reason="numpy's LAPACK exports no 64-bit dsytrd, dstemr and dormtr")
+_L100 = hankel_embed(_window(300, 100), 100)
+_L200 = hankel_embed(_window(600, 200, fs=60.0), 200)
+_PURE_TONE = _sinusoid_hankel([1.2])
+# a sine/cosine pair of near-equal sigma over noise at 3e-4 sigma_max
+_SINE_COSINE_PAIR = hankel_embed(np.sin(2 * np.pi * 1.2 * np.arange(300) / 30.0)
+                                 + 1e-3 * np.random.default_rng(15).normal(size=300), 100)
+
+
+@pytest.mark.skipif(ssa._LAPACKE is None,
+                    reason="numpy's LAPACK exports no 64-bit dsytrd, dsterf, dstein and dormtr")
 class TestSubsetSolver:
-    """The top-k route's eigenvectors by MRRR (LAPACK's dsytrd, dstemr and
-    dormtr), against those of np.linalg.eigh (``_MRRR`` patched to None)."""
+    """The top-k route's eigenvectors from LAPACK's dsytrd, dsterf, dstein
+    and dormtr, against those of np.linalg.eigh (``_LAPACKE`` patched to
+    None)."""
 
     # The kept triples' rank-1 sums agree within ``tol`` of max |X|: both
     # routes take the SVD of Q'X in an orthonormal basis of the leading
@@ -204,20 +213,18 @@ class TestSubsetSolver:
     # last kept sigma^2 to the next.  Measured: 1e-14 with gaps of 1e-2
     # sigma_max and more; 9e-12 where the kept noise sits at 3e-4 sigma_max.
     @pytest.mark.parametrize("X, tol", [
-        (hankel_embed(_window(300, 100), 100), 1e-13),
-        (hankel_embed(_window(600, 200, fs=60.0), 200), 1e-13),
+        (_L100, 1e-13),
+        (_L200, 1e-13),
         (np.random.default_rng(14).normal(size=(200, 401)), 1e-13),
         # rank 2: 8 of the 10 eigenpairs are zero, dropped by SV_CUTOFF
-        (_sinusoid_hankel([1.2]), 1e-13),
-        # a sine/cosine pair of near-equal sigma over noise at 3e-4 sigma_max
-        (hankel_embed(np.sin(2 * np.pi * 1.2 * np.arange(300) / 30.0)
-                      + 1e-3 * np.random.default_rng(15).normal(size=300), 100), 1e-10),
+        (_PURE_TONE, 1e-13),
+        (_SINE_COSINE_PAIR, 1e-10),
         (np.zeros((100, 201)), 0.0),
         (np.random.default_rng(16).normal(size=(20, 41)), 1e-13),  # 2k = L
     ], ids=["L100", "L200", "noise-L200", "pure-tone", "sine-cosine-pair", "zero", "2k-equals-L"])
     def test_matches_eigh_route(self, monkeypatch, X, tol):
         subset = svd_components(X, 10)
-        monkeypatch.setattr(ssa, "_MRRR", None)
+        monkeypatch.setattr(ssa, "_LAPACKE", None)
         full = svd_components(X, 10)
         assert len(subset) == len(full)
         diff = np.abs(_rank_k_sum(subset) - _rank_k_sum(full))
@@ -225,29 +232,38 @@ class TestSubsetSolver:
         for (s_a, _, _), (s_b, _, _) in zip(subset, full):
             assert abs(s_a - s_b) <= 1e-13 * full[0][0]
 
+    # Inverse iteration reorthogonalises only eigenvalues closer than
+    # 1e-3 |T|; the SVD of Q'X takes Q to be orthonormal.
+    @pytest.mark.parametrize("X", [_L100, _L200, _PURE_TONE, _SINE_COSINE_PAIR],
+                             ids=["L100", "L200", "pure-tone", "sine-cosine-pair"])
+    def test_kept_basis_is_orthonormal(self, X):
+        Q = ssa._leading_basis(len(X), 10)(X)
+        assert np.max(np.abs(Q.T @ Q - np.eye(10))) <= 1e-13
+
     def test_a_tone_is_a_near_equal_pair_of_rank_2(self):
         (s1, _, _), (s2, _, _) = svd_components(_sinusoid_hankel([1.2]), 10)
         assert abs(s1 - s2) <= 0.01 * s1
 
-    @pytest.mark.parametrize("routine", ["dsytrd", "dormtr"])
+    @pytest.mark.parametrize("routine", ["dsytrd", "dstein", "dormtr"])
     def test_routine_failure_is_a_decomposition_failure(self, monkeypatch, routine):
-        monkeypatch.setattr(ssa, "_MRRR", _failing(routine, -3))
+        monkeypatch.setattr(ssa, "_LAPACKE", _failing(routine, -3))
         with pytest.raises(DecompositionFailure, match=f"{routine} failed with info -3"):
             decompose_rows(np.random.default_rng(18).normal(size=(2, 300)), 100, 10)
 
-    def test_mrrr_failure_sends_that_row_to_eigh(self, monkeypatch):
+    @pytest.mark.parametrize("routine", ["dsterf", "dstein"])
+    def test_solver_failure_sends_that_row_to_eigh(self, monkeypatch, routine):
         rows = np.array([_window(300, 100, seed=s) for s in range(3)])
-        mrrr = decompose_rows(rows, 100, 10)
-        failing = _failing("dstemr", 2, calls={1})
-        monkeypatch.setattr(ssa, "_MRRR", None)
+        lapacke = decompose_rows(rows, 100, 10)
+        failing = _failing(routine, 2, calls={1})
+        monkeypatch.setattr(ssa, "_LAPACKE", None)
         eigh = decompose_rows(rows, 100, 10)
-        monkeypatch.setattr(ssa, "_MRRR", failing)
+        monkeypatch.setattr(ssa, "_LAPACKE", failing)
         mixed = decompose_rows(rows, 100, 10)
-        for got, want_mrrr, want_eigh in zip(mixed, mrrr, eigh):
-            assert want_mrrr[1].tobytes() != want_eigh[1].tobytes()  # the routes differ
+        for got, want_lapacke, want_eigh in zip(mixed, lapacke, eigh):
+            assert want_lapacke[1].tobytes() != want_eigh[1].tobytes()  # the routes differ
             assert got[1].tobytes() == want_eigh[1].tobytes()
             for i in (0, 2):
-                assert got[i].tobytes() == want_mrrr[i].tobytes()
+                assert got[i].tobytes() == want_lapacke[i].tobytes()
 
     def test_threads_give_the_serial_bytes(self):
         # each decompose_rows call owns its solver workspace: four threads
@@ -283,9 +299,9 @@ class TestSubsetSolver:
             assert sv.tobytes() == serial[j][1].tobytes()
 
 
-@pytest.mark.parametrize("routine", ["dsytrd", "dstemr", "dormtr"])
+@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstein", "dormtr"])
 def test_mrrr_routine_found_where_numpy_exports_scipy_openblas(routine):
-    # guards the MRRR route against a wheel whose LAPACK no longer exports a
+    # guards the LAPACKE route against a wheel whose LAPACK no longer exports a
     # routine under a 64-bit name, which would send every window to eigh
     getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
     if not any(hasattr(ssa._NUMPY_LAPACK, name) for name in getters):
