@@ -162,14 +162,13 @@ class PipelineConfig:
             raise ConfigError(f"band needs 0 < low < high, got [{low}, {high}]")
 
 
-def _run_parts(func, start: int, stop: int, parts: int, *, _caller_waits: bool = False) -> list:
+def _run_parts(func, start: int, stop: int, parts: int) -> list:
     """``[func(i, s) for i, s in enumerate(slices)]`` over ``parts``
     contiguous slices of ``range(start, stop)`` (none empty), in order.
     The caller runs the first slice, and a new thread each of the others
     in a copy of the caller's context, so that ``np.errstate`` holds there
-    too; with ``_caller_waits``, a new thread runs the first slice as well,
-    unless it is the only one.  Once every slice has ended, the exception
-    of the lowest-numbered one that failed is raised.
+    too.  Once every slice has ended, the exception of the lowest-numbered
+    one that failed is raised.
     """
     n = stop - start
     edges = [start + n * i // parts for i in range(parts + 1)]
@@ -182,13 +181,11 @@ def _run_parts(func, start: int, stop: int, parts: int, *, _caller_waits: bool =
         except BaseException as exc:  # raised below, on the caller's thread
             errors[i] = exc
 
-    own = 0 if _caller_waits and len(slices) > 1 else 1  # slices the caller runs
     helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-               for i in range(own, len(slices))]
+               for i in range(1, len(slices))]
     for t in helpers:
         t.start()
-    for i in range(own):
-        run(i)
+    run(0)
     for t in helpers:
         t.join()
     for exc in errors:
@@ -253,9 +250,9 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     by ``window_stack`` (a trace shorter than one window is
     SeriesTooShort), an ``(n_windows, T)`` stack that runs through array
     stages in blocks of ``_BLOCK_ROWS`` rows.  The first pass filters
-    every block (``detrend``, ``bandpass``).  The windows starting on
-    half-window boundaries are then emitted, in blocks too: a per-window
-    SVD, and for the whole block one component convolution
+    every block (``detrend``, ``bandpass``) on the caller.  The windows
+    starting on half-window boundaries are then emitted, in blocks too: a
+    per-window SVD, and for the whole block one component convolution
     (``decompose_rows``), one candidate search and mask (``select_rows``),
     one Gaussian fusion (``fuse_rows``) and one Hann overlap-add at 50%
     hop.  The mask needs every window's reference HR
@@ -273,12 +270,9 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     first emitted block, part p of n searches the filtered blocks p,
     p + n, ... before its SVDs.  No window's result depends on the others
     in its block, and each filtered block is searched as one stack, so the
-    output is byte-identical to that of one part.  The first pass is split
-    the same way by whole blocks, when there are two or more, each part on
-    a new thread while the caller waits; every block is still filtered as
-    the same stack, so its rounding is kept.  Other threads, such as
-    ``sweep_report``'s workers, run one part, which takes the same steps
-    in the same order.
+    output is byte-identical to that of one part.  Other threads, such as
+    ``sweep_report``'s workers, run one part, which takes the same steps in
+    the same order.
     """
     fs = trace.fs
     win = sample_count(config.window_s, fs)
@@ -304,16 +298,8 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     parts = (_CORES if threading.current_thread() is threading.main_thread()
              and _blas_threads is not None and _blas_threads() == 1 else 1)
     starts = range(0, len(windows), _BLOCK_ROWS)
-
-    def filter_blocks(_, part: slice) -> list:
-        """Detrend and bandpass the blocks ``part`` of ``starts``."""
-        return [bandpass(detrend(windows[b:b + _BLOCK_ROWS], config.lam), fs,
-                         config.band[0], config.band[1]) for b in starts[part]]
-
-    # The caller waits: a tracer's span around detrend on the caller would
-    # otherwise enclose other threads' spans that it does not cover.
-    blocks = [block for run in _run_parts(filter_blocks, 0, len(starts), parts,
-                                          _caller_waits=True) for block in run]
+    blocks = [bandpass(detrend(windows[b:b + _BLOCK_ROWS], config.lam), fs, *config.band)
+              for b in starts]
     # views: the filtered blocks are kept for their search anyway
     emitted_segs = [row for b, block in zip(starts, blocks) for row in block[(-b) % every::every]]
     references = _References(blocks, min(parts, _BLOCK_ROWS, len(emitted_segs)), fs, config)

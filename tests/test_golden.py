@@ -30,7 +30,7 @@ TRACES = {
     "60s-30hz": SynthConfig(hr_bpm=84.0, duration_s=60.0, seed=13, **NOISY),
     "60s-30hz-dim": attenuate(SynthConfig(hr_bpm=72.0, duration_s=60.0, seed=3, **DIM), 0.25),
     "140s-30hz": SynthConfig(hr_bpm=66.0, duration_s=140.0, seed=7, **NOISY),  # 3 blocks
-    "120s-60hz": SynthConfig(hr_bpm=96.0, fs=60.0, duration_s=120.0, seed=21, **NOISY),  # 2
+    "120s-60hz": SynthConfig(hr_bpm=96.0, fs=60.0, duration_s=120.0, seed=21, **NOISY),  # 2 blocks
 }
 SWEEP = {"config": SynthConfig(hr_bpm=72.0, duration_s=30.0, **DIM),
          "levels": (1.0, 0.25), "pipe_config": PipelineConfig(), "n_seeds": 2}

@@ -32,26 +32,40 @@ def _force_parts(monkeypatch, parts):
     monkeypatch.setattr(reconstruct, "_blas_threads", lambda: 1)
 
 
+def _spy(monkeypatch, name, before):
+    """Run ``before`` with the arguments of every ``reconstruct.<name>``
+    call, which it may fail by raising, before the call."""
+    real = getattr(reconstruct, name)
+
+    def spy(*args):
+        before(*args)
+        return real(*args)
+    monkeypatch.setattr(reconstruct, name, spy)
+
+
+def _on_main():
+    return threading.current_thread() is threading.main_thread()
+
+
 @pytest.fixture
 def parts_used(monkeypatch):
-    """The part count of every stage the test's run_pipeline calls split:
-    the first pass's blocks, then each block of emitted windows."""
+    """The part count of each block of emitted windows the test's
+    run_pipeline splits."""
     used = []
     real = reconstruct._run_parts
 
-    def run_parts(func, start, stop, parts, **kwargs):
+    def run_parts(func, start, stop, parts):
         used.append(parts)
-        return real(func, start, stop, parts, **kwargs)
+        return real(func, start, stop, parts)
     monkeypatch.setattr(reconstruct, "_run_parts", run_parts)
     return used
 
 
 def _in_new_process(environ, before_import=""):
     """OpenBLAS's thread count (None without a getter) and the part counts
-    of one run_pipeline call (one block and 3 emitted windows: the first
-    pass's count, then the emitted windows') in a new Python started with
-    ``environ`` and no other OpenBLAS variable, which runs
-    ``before_import`` before it imports lowlight_rppg."""
+    of one run_pipeline call (one block of 3 emitted windows) in a new
+    Python started with ``environ`` and no other OpenBLAS variable, which
+    runs ``before_import`` before it imports lowlight_rppg."""
     code = f"""
 import sys
 sys.path.insert(0, {SRC!r})
@@ -59,8 +73,8 @@ sys.path.insert(0, {SRC!r})
 from lowlight_rppg import SynthConfig, generate, reconstruct, run_pipeline
 used = []
 real = reconstruct._run_parts
-reconstruct._run_parts = lambda func, a, b, parts, **kw: (used.append(parts),
-                                                          real(func, a, b, parts, **kw))[1]
+reconstruct._run_parts = lambda func, a, b, parts: (used.append(parts),
+                                                    real(func, a, b, parts))[1]
 run_pipeline(generate(SynthConfig(duration_s=20.0)))
 print(reconstruct._blas_threads and reconstruct._blas_threads(), *used)
 """
@@ -92,19 +106,19 @@ def test_helper_count(monkeypatch, parts_used, environ, lib, helpers):
     if lib is None:
         if reconstruct._blas_threads is None:
             pytest.skip("numpy's BLAS exports no OpenBLAS getter")
-        assert _in_new_process(environ)[1] == [helpers + 1] * 2
+        assert _in_new_process(environ)[1] == [helpers + 1]
     else:
         fake = types.SimpleNamespace(**{name: lambda: 1 for name in lib})
         monkeypatch.setattr(reconstruct, "_blas_threads", reconstruct._openblas_threads(fake))
         assert reconstruct._blas_threads is None
         run_pipeline(_trace(30.0, 60.0))
-        assert parts_used == [helpers + 1] * 2
+        assert parts_used == [helpers + 1]
 
 
 def test_one_core_has_no_helper(monkeypatch, parts_used):
     _force_parts(monkeypatch, 1)
     run_pipeline(_trace(30.0, 60.0))
-    assert parts_used == [1, 1]
+    assert parts_used == [1]
 
 
 @needs_openblas
@@ -112,7 +126,7 @@ def test_variable_set_after_numpy_loads_starts_no_helper():
     # OpenBLAS read its variables when numpy loaded it, so it keeps its
     # default threads (one per core) and the windows run on the caller
     before = "import os, numpy\nos.environ['OPENBLAS_NUM_THREADS'] = '1'"
-    assert _in_new_process({}, before)[1] == [1, 1]
+    assert _in_new_process({}, before)[1] == [1]
 
 
 @needs_openblas
@@ -130,7 +144,7 @@ def test_threads_set_at_run_time_gate_the_next_call(parts_used):
             run_pipeline(trace)
     finally:
         setter(threads)
-    assert parts_used == [CORES, CORES, 1, 1]
+    assert parts_used == [CORES, 1]
 
 
 def test_getter_found_where_numpy_names_openblas():
@@ -142,7 +156,7 @@ def test_getter_found_where_numpy_names_openblas():
         pytest.skip("numpy does not name its BLAS")
     if "openblas" not in blas.lower():
         pytest.skip(f"numpy's BLAS is {blas}")
-    assert _in_new_process({"OPENBLAS_NUM_THREADS": "1"}) == (1, [CORES, CORES])
+    assert _in_new_process({"OPENBLAS_NUM_THREADS": "1"}) == (1, [CORES])
 
 
 def _trace(fs, duration_s, hr_bpm=84.0, seed=13):
@@ -192,14 +206,15 @@ def test_more_parts_than_cores_with_frequent_switches(monkeypatch):
 
 @pytest.fixture
 def threads_started(monkeypatch):
-    """Force one helper; every thread started off the main thread fails."""
+    """Force one helper, and list for every thread started whether the main
+    thread started it; every thread started off the main thread fails."""
     _force_parts(monkeypatch, 2)
     started = []
     real = threading.Thread
 
     def guarded(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            started.append(threading.current_thread().name)
+        started.append(_on_main())
+        if not started[-1]:
             raise AssertionError("thread started off the main thread")
         return real(*args, **kwargs)
     monkeypatch.setattr(threading, "Thread", guarded)
@@ -210,7 +225,7 @@ def test_sweep_workers_start_no_thread(threads_started):
     from lowlight_rppg.sweep import sweep_report
     config = SynthConfig(hr_bpm=84.0, duration_s=20.0, noise_rms=(0.5,) * 3, seed=4)
     rows = sweep_report(config, (1.0, 0.25), PipelineConfig(), jobs=2)
-    assert len(rows) == 4 and threads_started == []
+    assert len(rows) == 4 and all(threads_started)  # the pool's workers alone
 
 
 def test_non_main_thread_starts_no_thread(threads_started):
@@ -219,7 +234,7 @@ def test_non_main_thread_starts_no_thread(threads_started):
     worker = threading.Thread(target=lambda: out.append(run_pipeline(trace)))
     worker.start()
     worker.join(timeout=60)
-    assert not worker.is_alive() and len(out) == 1 and threads_started == []
+    assert not worker.is_alive() and len(out) == 1 and threads_started == [True]  # the worker
 
 
 def test_main_thread_starts_helpers(monkeypatch):
@@ -342,22 +357,20 @@ def _pool_entry_0_60hz():
     (lambda: _trace(30.0, 140.0), 3),  # 131 windows: 64, 64 and 3
     (_pool_entry_0_60hz, 2),           # 111 windows: 64 and 47
 ], ids=["140s-30hz", "pool-0-120s-60hz"])
-def test_first_pass_blocks_are_byte_identical(monkeypatch, make_trace, blocks):
-    # each block is the same 64-row stack on any part, so bandpass rounds
-    # it as on one part; and the first pass runs on new threads only
+def test_first_pass_blocks_are_byte_identical(monkeypatch, threads_started, make_trace, blocks):
+    # the caller filters every block at any part count, so the threads
+    # started are the one emitted block's helpers alone
     trace = make_trace()
-    real = reconstruct.detrend
     outputs, on_main = [], []
-
-    def detrend(rows, lam):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return real(rows, lam)
-    monkeypatch.setattr(reconstruct, "detrend", detrend)
+    for name in ("detrend", "bandpass"):
+        _spy(monkeypatch, name, lambda *args: on_main.append(_on_main()))
     for parts in (1, 2, 3):
         _force_parts(monkeypatch, parts)
         on_main.clear()
+        threads_started.clear()
         outputs.append(run_pipeline(trace))
-        assert on_main == [parts == 1] * blocks
+        assert on_main == [True] * 2 * blocks
+        assert threads_started == [True] * (parts - 1)
     for pulse in outputs[1:]:
         assert pulse.samples.tobytes() == outputs[0].samples.tobytes()
         assert pulse.window_flags == outputs[0].window_flags
@@ -383,7 +396,7 @@ def test_first_pass_warning_reaches_the_caller(monkeypatch, parts):
 @pytest.mark.parametrize("parts", [1, 2])
 def test_first_pass_error_of_block_2_reaches_the_caller(monkeypatch, parts):
     # 100 s at 30 Hz: 91 windows in blocks of 64 and 27; a NaN in block 2's
-    # filtered rows fails its reference search
+    # filtered rows, written on the caller, fails its reference search
     _force_parts(monkeypatch, parts)
     real = reconstruct.bandpass
     failed_on_main = []
@@ -391,29 +404,13 @@ def test_first_pass_error_of_block_2_reaches_the_caller(monkeypatch, parts):
     def bandpass(rows, *args):
         out = real(rows, *args)
         if len(rows) < reconstruct._BLOCK_ROWS:
-            failed_on_main.append(threading.current_thread() is threading.main_thread())
+            failed_on_main.append(_on_main())
             out[-1, 0] = np.nan
         return out
     monkeypatch.setattr(reconstruct, "bandpass", bandpass)
     with pytest.raises(NonFiniteInput):
         run_pipeline(_trace(30.0, 100.0))
-    assert failed_on_main == [parts == 1]
-
-
-
-def _spy(monkeypatch, name, before):
-    """Run ``before`` with the arguments of every ``reconstruct.<name>``
-    call, which it may fail by raising, before the call."""
-    real = getattr(reconstruct, name)
-
-    def spy(*args):
-        before(*args)
-        return real(*args)
-    monkeypatch.setattr(reconstruct, name, spy)
-
-
-def _on_main():
-    return threading.current_thread() is threading.main_thread()
+    assert failed_on_main == [True]
 
 
 def test_helper_decomposes_during_the_callers_search(monkeypatch):
