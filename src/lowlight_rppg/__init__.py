@@ -28,7 +28,7 @@ from .reconstruct import (
     overlap_add_rows,
     run_pipeline,
 )
-from .selection import MaskReason, select_rows, spectral_mask
+from .selection import MaskReason, candidate_frequencies, select_rows, spectral_mask
 from .ssa import decompose_rows
 
 __version__ = "0.1.0"
@@ -54,7 +54,7 @@ __all__ = [
     "RawTrace", "RoiFrame", "spatial_average", "assemble_trace",
     "load_trace_csv", "save_trace_csv", "load_roi_frames",
     "detrend", "bandpass",
-    "decompose_rows", "MaskReason", "spectral_mask", "select_rows",
+    "decompose_rows", "MaskReason", "spectral_mask", "candidate_frequencies", "select_rows",
     "PulseWave", "PipelineConfig", "fuse_rows", "overlap_add_rows", "run_pipeline",
     "HrEstimate", "estimate_hr", "estimate_hr_series", "sliding_hr",
     "dominant_frequencies",

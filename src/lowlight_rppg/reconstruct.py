@@ -21,15 +21,17 @@ from .hr import dominant_frequencies
 from .ingest import RawTrace
 from .preprocess import (PULSE_BAND, DEFAULT_LAMBDA, bandpass, check_lambda, detrend,
                          pow2_scaled, sample_count, window_stack)
-from .selection import DEFAULT_SEC_CHN, SIGMA_INIT, reference_sigmas, select_rows
+from .selection import (DEFAULT_SEC_CHN, SIGMA_INIT, candidate_frequencies, reference_sigmas,
+                        select_rows)
 from .ssa import _NUMPY_LAPACK, decompose_rows, default_window_length
 
 # run_pipeline filters the window stack, searches its reference HRs, and
 # takes the emitted windows through SSA, selection and fusion this many
 # rows at a time, so no stage's temporaries grow with the trace length.
-# The filtered blocks are kept until they are searched, in the first
-# emitted block's parts: n_windows * T * 8 bytes, 122 KB at 60 s / 30 Hz
-# and 533 KB at 120 s / 60 Hz (BENCH_28.json).
+# The filtered blocks, which the first emitted block's parts search and
+# the emitted windows are views into, are kept for the whole call:
+# n_windows * T * 8 bytes, 122 KB at 60 s / 30 Hz and 533 KB at
+# 120 s / 60 Hz (BENCH_28.json).
 _BLOCK_ROWS = 64
 
 # OpenBLAS's thread-count getters, found through numpy's LAPACK module
@@ -168,7 +170,8 @@ def _run_parts(func, start: int, stop: int, parts: int) -> list:
     The caller runs the first slice, and a new thread each of the others
     in a copy of the caller's context, so that ``np.errstate`` holds there
     too.  Once every slice has ended, the exception of the lowest-numbered
-    one that failed is raised.
+    one that failed is raised; if a thread fails to start, its error is
+    raised once the threads already started have ended.
     """
     n = stop - start
     edges = [start + n * i // parts for i in range(parts + 1)]
@@ -181,66 +184,20 @@ def _run_parts(func, start: int, stop: int, parts: int) -> list:
         except BaseException as exc:  # raised below, on the caller's thread
             errors[i] = exc
 
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-               for i in range(1, len(slices))]
-    for t in helpers:
-        t.start()
-    run(0)
-    for t in helpers:
-        t.join()
+    helpers = []
+    try:
+        for i in range(1, len(slices)):
+            t = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+            t.start()
+            helpers.append(t)
+        run(0)
+    finally:
+        for t in helpers:
+            t.join()
     for exc in errors:
         if exc is not None:
             raise exc
     return results
-
-
-class _References:
-    """The reference HRs of the filtered first-pass ``blocks`` and their
-    ``reference_sigmas``, searched by ``parts`` parts: part p searches
-    blocks p, p + parts, ...  The part that ends the last search computes
-    the sigmas.  ``wait`` returns once they are in, or raises the error of
-    the lowest block whose search failed, as one part searching the blocks
-    in order would; ``abort`` releases the parts waiting for a part that
-    never started.
-    """
-
-    def __init__(self, blocks: list, parts: int, fs: float, config: PipelineConfig):
-        self.blocks, self.parts, self.fs, self.config = blocks, parts, fs, config
-        self.f_r = np.empty(sum(map(len, blocks)))
-        self.sigma_fr = None
-        self._errors = {}  # block index -> exception
-        self._pending = parts
-        self._lock = threading.Lock()
-        self._done = threading.Event()
-
-    def search(self, part: int) -> None:
-        try:
-            for i in range(part, len(self.blocks), self.parts):
-                b = i * _BLOCK_ROWS
-                self.f_r[b:b + len(self.blocks[i])] = dominant_frequencies(
-                    self.blocks[i], self.fs, self.config.band)
-        except BaseException as exc:  # raised by wait, on every part
-            self._errors[i] = exc
-        with self._lock:
-            self._pending -= 1
-            if self._pending:
-                return
-        try:
-            if not self._errors:
-                self.sigma_fr = reference_sigmas(self.f_r, self.config.sigma_init)
-        except BaseException as exc:
-            self._errors[len(self.blocks)] = exc
-        self._done.set()
-
-    def abort(self, exc: BaseException) -> None:
-        self._errors.setdefault(len(self.blocks), exc)
-        self._done.set()
-
-    def wait(self) -> np.ndarray:
-        self._done.wait()
-        if self._errors:
-            raise self._errors[min(self._errors)]
-        return self.sigma_fr
 
 
 def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> PulseWave:
@@ -253,26 +210,30 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     every block (``detrend``, ``bandpass``) on the caller.  The windows
     starting on half-window boundaries are then emitted, in blocks too: a
     per-window SVD, and for the whole block one component convolution
-    (``decompose_rows``), one candidate search and mask (``select_rows``),
-    one Gaussian fusion (``fuse_rows``) and one Hann overlap-add at 50%
-    hop.  The mask needs every window's reference HR
-    (``hr.dominant_frequencies`` within ``band``, at 8192 points) and
-    its dispersion (``reference_sigmas``), but no SVD does: so the first
-    emitted block searches the filtered blocks before its SVDs, and waits
-    for every search only before ``select_rows``.  Analysis runs at the
-    fine step purely for reference-HR tracking; emitting every window
-    would break the constant-overlap-add normalization.
+    (``decompose_rows``), one candidate search
+    (``candidate_frequencies``), one mask (``select_rows``), one Gaussian
+    fusion (``fuse_rows``) and one Hann overlap-add at 50% hop.  Only the
+    mask and the fusion need the reference HRs (``hr.dominant_frequencies``
+    within ``band``, at 8192 points) and their dispersion
+    (``reference_sigmas``): the first emitted block searches the filtered
+    blocks before its SVDs, and the sigmas follow every search.  Analysis
+    runs at the fine step purely for reference-HR tracking; emitting every
+    window would break the constant-overlap-add normalization.
 
     Called from the main thread while OpenBLAS reports one thread per call
-    (asked at each call), the emitted windows of each block are split into
-    contiguous parts, one per core: the caller takes the first, which
-    holds the fewest windows, and a new thread each of the others.  In the
-    first emitted block, part p of n searches the filtered blocks p,
-    p + n, ... before its SVDs.  No window's result depends on the others
-    in its block, and each filtered block is searched as one stack, so the
-    output is byte-identical to that of one part.  Other threads, such as
-    ``sweep_report``'s workers, run one part, which takes the same steps in
-    the same order.
+    (asked at each call), the SVDs and candidate searches of each block's
+    emitted windows are split into contiguous parts, one per core: the
+    caller takes the first, which holds the fewest windows, and a new
+    thread each of the others.  In the first emitted block, part p of n
+    searches the filtered blocks p, p + n, ... before its SVDs.  Once the
+    parts are joined, the caller masks, fuses and overlap-adds the whole
+    block.  No window's result depends on the others in its block, and
+    each filtered block is searched as one stack, so the output is
+    byte-identical to that of one part.  If searches fail, the error of
+    the lowest failed block is raised, ahead of any part's own error, as
+    on one part, where the search comes first.  Other threads, such as
+    ``sweep_report``'s workers, run one part, which takes the same steps
+    in the same order.
     """
     fs = trace.fs
     win = sample_count(config.window_s, fs)
@@ -302,39 +263,46 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
               for b in starts]
     # views: the filtered blocks are kept for their search anyway
     emitted_segs = [row for b, block in zip(starts, blocks) for row in block[(-b) % every::every]]
-    references = _References(blocks, min(parts, _BLOCK_ROWS, len(emitted_segs)), fs, config)
-    f_r = references.f_r
+    searchers = min(parts, _BLOCK_ROWS, len(emitted_segs))  # the first emitted block's parts
+    f_r = np.empty(len(windows))
+    failed = {}  # filtered block -> its search's error
+
+    def candidates(part: int, rows: slice):
+        """The components and candidate frequencies of the emitted windows
+        ``rows``, the ``part``-th part of their block; the first block
+        searches the references first."""
+        if rows.start < _BLOCK_ROWS:
+            try:
+                for i in range(part, len(blocks), searchers):
+                    f_r[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS] = dominant_frequencies(
+                        blocks[i], fs, config.band)
+            except BaseException as exc:
+                failed[i] = exc
+                raise
+        comps, sv = decompose_rows(np.array(emitted_segs[rows]), L, config.sec_chn)
+        return comps, candidate_frequencies(comps, sv, fs)
 
     n_accepted = np.zeros(len(windows), dtype=int)  # 0 and False where not emitted
     fallback = np.zeros(len(windows), dtype=bool)
-
-    def fuse(part: int, rows: slice) -> np.ndarray:
-        """Fuse the emitted windows ``rows``, the ``part``-th part of their
-        block, and write their flags; the first block searches the
-        references first."""
-        if rows.start < _BLOCK_ROWS:
-            references.search(part)
-        try:
-            comps, sv = decompose_rows(np.array(emitted_segs[rows]), L, config.sec_chn)
-        finally:  # a failed search outranks this part's own error, as on one part
-            sigma_fr = references.wait()
-        f, sigma, n_acc, fb = (a[::every][rows] for a in (f_r, sigma_fr, n_accepted, fallback))
-        freqs, accepted, fb[:] = select_rows(comps, sv, fs, f, sigma, config.band)
-        n_acc[:] = accepted.sum(axis=1)
-        return fuse_rows(comps, freqs, accepted, f, sigma)
-
     samples = np.zeros((len(emitted_segs) + 1) * hop)
     for c in range(0, len(emitted_segs), _BLOCK_ROWS):
         stop = min(c + _BLOCK_ROWS, len(emitted_segs))
         try:
-            fused = np.concatenate(_run_parts(fuse, c, stop, parts))
-        except BaseException as exc:  # a thread that failed to start leaves parts waiting
-            references.abort(exc)
+            comps, freqs = map(np.concatenate, zip(*_run_parts(candidates, c, stop, parts)))
+        except BaseException:
+            if failed:  # a failed search outranks every part's own error
+                raise failed[min(failed)]
             raise
-        overlap_add_rows(samples[c * hop:(stop + 1) * hop], fused, hop)
+        if c == 0:
+            sigma_fr = reference_sigmas(f_r, config.sigma_init)
+        f, sigma = f_r[::every][c:stop], sigma_fr[::every][c:stop]
+        accepted, fallback[::every][c:stop] = select_rows(freqs, f, sigma, config.band)
+        n_accepted[::every][c:stop] = accepted.sum(axis=1)
+        overlap_add_rows(samples[c * hop:(stop + 1) * hop],
+                         fuse_rows(comps, freqs, accepted, f, sigma), hop)
     records = tuple(WindowRecord(t_start=i * step / fs, f_r=f, sigma_fr=sigma, n_accepted=n,
                                  fallback=fb, emitted=i % every == 0)
                     for i, (f, sigma, n, fb) in enumerate(zip(
-                        f_r.tolist(), references.sigma_fr.tolist(), n_accepted.tolist(),
+                        f_r.tolist(), sigma_fr.tolist(), n_accepted.tolist(),
                         fallback.tolist())))
     return PulseWave(samples=np.ldexp(samples, exponent), fs=fs, window_flags=records)

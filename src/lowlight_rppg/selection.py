@@ -69,28 +69,37 @@ def spectral_mask(freqs, f_r, sigma_fr, band: tuple[float, float] = PULSE_BAND) 
                       code(MaskReason.HARMONIC_MATCH)], code(MaskReason.WINDOW_REJECT))
 
 
-def select_rows(components, singular_values, fs: float, f_r, sigma_fr,
-                band: tuple[float, float]):
-    """Apply the spectral mask (pulse ``band``) to the ``decompose_rows``
-    arrays of n windows against their ``(n,)`` references.
+def candidate_frequencies(components, singular_values, fs: float) -> np.ndarray:
+    """The ``(n, k)`` dominant frequencies of the ``decompose_rows``
+    components of n windows, inf in empty slots.
 
-    Candidate dominant frequencies are searched over the full spectrum
-    (excluding DC), with one ``hr.dominant_frequencies`` call at its
-    default 8192 points for every kept component, so that out-of-band components such as residual drift get
-    their true frequency and are band-rejected.  If the mask rejects all
-    of a window's components, the one closest to its reference HR (the
-    first on a tie) is kept and the window flagged, so fusion never
-    receives an empty window.  Returns the ``(n, k)`` candidate
-    frequencies (inf in empty slots) and accepted components, fallbacks
-    included, and the ``(n,)`` fallback flags.
+    They are searched over the full spectrum (excluding DC), with one
+    ``hr.dominant_frequencies`` call at its default 8192 points for every
+    kept component, so that out-of-band components such as residual drift
+    get their true frequency and are band-rejected.  A window must keep a
+    component (``NoComponents``).  No reference HR is needed.
     """
     kept = singular_values > 0
     if kept.shape[1] == 0 or not np.all(kept[:, 0]):
         raise NoComponents("decomposition has no components above the cutoff")
     freqs = np.full(kept.shape, np.inf)
     freqs[kept] = dominant_frequencies(components[kept], fs, band=(0.05, fs / 2.0))
+    return freqs
+
+
+def select_rows(freqs, f_r, sigma_fr, band: tuple[float, float]):
+    """Apply the spectral mask (pulse ``band``) to the ``(n, k)``
+    ``candidate_frequencies`` of n windows against their ``(n,)``
+    references.
+
+    If the mask rejects all of a window's candidates, the one closest to
+    its reference HR (the first on a tie) is kept and the window flagged,
+    so fusion never receives an empty window.  Returns the ``(n, k)``
+    accepted components, fallbacks included, and the ``(n,)`` fallback
+    flags.
+    """
     accepted = _ACCEPTS[spectral_mask(freqs, f_r, sigma_fr, band)]
     fallback = ~np.any(accepted, axis=1)
     nearest = np.argmin(np.abs(freqs - np.asarray(f_r)[:, None]), axis=1)
     accepted[fallback, nearest[fallback]] = True
-    return freqs, accepted, fallback
+    return accepted, fallback

@@ -4,6 +4,7 @@ import pytest
 from lowlight_rppg import (
     PipelineConfig,
     bandpass,
+    candidate_frequencies,
     decompose_rows,
     detrend,
     dominant_frequencies,
@@ -180,10 +181,10 @@ def per_window_pipeline(trace, config):
     """The pipeline one window at a time: per-window preprocessing, a
     per-window ``dominant_frequencies`` and the last entry of
     ``reference_sigmas`` over the reference HRs so far, and one-row
-    ``decompose_rows``/``select_rows``/``fuse_rows``/``overlap_add_rows``
-    calls per emitted window, as the reference for the 64-row blocks of
-    run_pipeline.  Returns the pulse and per-window (f_r, sigma,
-    n_accepted, fallback)."""
+    ``decompose_rows``/``candidate_frequencies``/``select_rows``/
+    ``fuse_rows``/``overlap_add_rows`` calls per emitted window, as the
+    reference for the 64-row blocks of run_pipeline.  Returns the pulse
+    and per-window (f_r, sigma, n_accepted, fallback)."""
     fs = trace.fs
     win = int(round(config.window_s * fs))
     step = int(round(config.step_s * fs))
@@ -201,7 +202,8 @@ def per_window_pipeline(trace, config):
         n_accepted, fallback = 0, False
         if start % hop == 0:
             comps, sv = decompose_rows(seg[None], L, config.sec_chn)
-            freqs, accepted, fallbacks = select_rows(comps, sv, fs, *ref, config.band)
+            freqs = candidate_frequencies(comps, sv, fs)
+            accepted, fallbacks = select_rows(freqs, *ref, config.band)
             fused = fuse_rows(comps, freqs, accepted, *ref)
             overlap_add_rows(pulse[start:start + win], fused, hop)
             n_accepted, fallback = int(accepted.sum()), bool(fallbacks[0])

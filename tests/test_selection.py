@@ -4,6 +4,7 @@ import pytest
 from lowlight_rppg import (
     MaskReason,
     PipelineConfig,
+    candidate_frequencies,
     SynthConfig,
     decompose_rows,
     dominant_frequencies,
@@ -30,7 +31,8 @@ def select(x, f_r, sigma, fs=FS, L=100, k=10):
     """decompose_rows and select_rows of one series: its components,
     candidate frequencies, accepted flags and fallback flag."""
     comps, sv = decompose_rows(np.asarray(x)[None], L, k)
-    freqs, accepted, fallback = select_rows(comps, sv, fs, [f_r], [sigma], PULSE_BAND)
+    freqs = candidate_frequencies(comps, sv, fs)
+    accepted, fallback = select_rows(freqs, [f_r], [sigma], PULSE_BAND)
     kept = sv[0] > 0
     return comps[0, kept], freqs[0, kept], accepted[0, kept], bool(fallback[0])
 
@@ -153,8 +155,10 @@ class TestSpectralMask:
         t = np.arange(300) / FS
         x = np.sin(2 * np.pi * 1.2 * t) + 0.5 * np.random.default_rng(3).normal(size=300)
         comps, sv = decompose_rows(x[None], 100, 10)
-        a = select_rows(comps, sv, FS, [1.2], [0.05], PULSE_BAND)
-        b = select_rows(100 * comps, 100 * sv, FS, [1.2], [0.05], PULSE_BAND)
+        fa = candidate_frequencies(comps, sv, FS)
+        fb = candidate_frequencies(100 * comps, 100 * sv, FS)
+        a = (fa, *select_rows(fa, [1.2], [0.05], PULSE_BAND))
+        b = (fb, *select_rows(fb, [1.2], [0.05], PULSE_BAND))
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_accepted_implies_in_band(self):
@@ -230,13 +234,13 @@ class TestSelectCandidates:
         first, second = (dominant_frequencies(c, fs, band=(0.05, fs / 2)) for c in comps[0])
         f_r = (first + second) / 2
         assert abs(first - f_r) == abs(second - f_r) > 3 * 0.01
-        freqs, accepted, fallback = select_rows(comps, np.array([[2.0, 1.0]]), fs,
-                                                [f_r], [0.01], PULSE_BAND)
+        freqs = candidate_frequencies(comps, np.array([[2.0, 1.0]]), fs)
+        accepted, fallback = select_rows(freqs, [f_r], [0.01], PULSE_BAND)
         assert fallback.tolist() == [True]
         assert accepted.tolist() == [[True, False]]
         assert freqs.tolist() == [[first, second]]
 
     def test_empty_decomposition(self):
         with pytest.raises(NoComponents):
-            select_rows(np.empty((1, 0, 100)), np.empty((1, 0)), FS, [1.2], [0.05],
-                        PULSE_BAND)
+            select_rows(candidate_frequencies(np.empty((1, 0, 100)), np.empty((1, 0)), FS),
+                        [1.2], [0.05], PULSE_BAND)

@@ -262,22 +262,23 @@ def _hr_step_trace():
 
 @pytest.mark.parametrize("rule", ["fast-windows", "every-call"])
 def test_errors_cross_the_thread_boundary(monkeypatch, rule):
-    # select_rows fails on windows tracking more than 1.5 Hz, which only
-    # the helper's part holds; or on every call, naming the first window,
-    # which the caller's part holds
-    real = reconstruct.select_rows
+    # candidate_frequencies fails on windows whose strongest component is
+    # above 1.5 Hz, which only the helper's part holds; or on every call,
+    # naming the first window's, which the caller's part holds
+    real = reconstruct.candidate_frequencies
     failed_on_main = []
 
-    def select_rows(comps, sv, fs, f_r, sigma_fr, band):
+    def candidate_frequencies(comps, sv, fs):
+        freqs = real(comps, sv, fs)
         if rule == "every-call":
-            message = f"first window tracks {f_r[0]:.4f} Hz"
-        elif np.max(f_r) > 1.5:
-            message = "no components near a fast reference"
+            message = f"first window's strongest component is at {freqs[0, 0]:.4f} Hz"
+        elif np.max(freqs[:, 0]) > 1.5:
+            message = "a window's strongest component is fast"
         else:
-            return real(comps, sv, fs, f_r, sigma_fr, band)
+            return freqs
         failed_on_main.append(threading.current_thread() is threading.main_thread())
         raise NoComponents(message)
-    monkeypatch.setattr(reconstruct, "select_rows", select_rows)
+    monkeypatch.setattr(reconstruct, "candidate_frequencies", candidate_frequencies)
     trace = _hr_step_trace()
     errors = []
     for parts in (1, 2):
@@ -295,12 +296,7 @@ def test_errors_cross_the_thread_boundary(monkeypatch, rule):
 def test_helpers_see_the_callers_errstate(monkeypatch):
     _force_parts(monkeypatch, 2)
     seen = []
-    real = reconstruct.fuse_rows
-
-    def fuse_rows(*args):
-        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
-        return real(*args)
-    monkeypatch.setattr(reconstruct, "fuse_rows", fuse_rows)
+    _spy(monkeypatch, "decompose_rows", lambda *args: seen.append((_on_main(), np.geterr())))
     with np.errstate(divide="raise", over="warn", under="ignore", invalid="print"):
         caller = np.geterr()
         run_pipeline(_trace(30.0, 60.0))
@@ -426,11 +422,24 @@ def test_helper_decomposes_during_the_callers_search(monkeypatch):
     assert overlapped == [True]
 
 
+def test_helper_scores_candidates_during_the_callers_search(monkeypatch):
+    # the search of the caller's part holds until the helper has found
+    # its part's candidate frequencies, which need no reference HR
+    _force_parts(monkeypatch, 2)
+    helper_scored, overlapped = threading.Event(), []
+    _spy(monkeypatch, "candidate_frequencies",
+         lambda *args: _on_main() or helper_scored.set())
+    _spy(monkeypatch, "dominant_frequencies",
+         lambda *args: overlapped.append(_on_main() and helper_scored.wait(timeout=30)))
+    run_pipeline(_trace(30.0, 60.0))
+    assert overlapped == [True]
+
+
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_selection_waits_for_every_search(monkeypatch, parts):
     # 140 s at 30 Hz: blocks of 64, 64 and 3 windows and one emitted block;
-    # a helper's search holds until the caller's SVDs start, so a part
-    # that did not wait would select before that search ends
+    # a helper's search holds until the caller's SVDs start, and the one
+    # select_rows call of the block runs on the caller after every search
     _force_parts(monkeypatch, parts)
     caller_decomposing, lock = threading.Event(), threading.Lock()
     searched, seen_by_selection = [], []
@@ -445,9 +454,10 @@ def test_selection_waits_for_every_search(monkeypatch, parts):
         return out
     monkeypatch.setattr(reconstruct, "dominant_frequencies", dominant_frequencies)
     _spy(monkeypatch, "decompose_rows", lambda *args: _on_main() and caller_decomposing.set())
-    _spy(monkeypatch, "select_rows", lambda *args: seen_by_selection.append(sorted(searched)))
+    _spy(monkeypatch, "select_rows",
+         lambda *args: seen_by_selection.append((_on_main(), sorted(searched))))
     run_pipeline(_trace(30.0, 140.0))
-    assert seen_by_selection == [[3, 64, 64]] * parts
+    assert seen_by_selection == [(True, [3, 64, 64])]
 
 
 def test_two_blocks_are_searched_on_two_threads(monkeypatch):
@@ -487,8 +497,8 @@ def test_failed_search_outranks_the_other_parts_errors(monkeypatch, parts, other
 
 
 def test_thread_that_fails_to_start_leaves_no_part_waiting(monkeypatch):
-    # the second helper of the emitted block does not start: the first,
-    # waiting for the references of parts that never run, is released
+    # the second helper of the emitted block does not start: the error
+    # reaches the caller only once the first helper has ended
     _force_parts(monkeypatch, 3)
     real = threading.Thread.start
     starts = []
@@ -502,5 +512,5 @@ def test_thread_that_fails_to_start_leaves_no_part_waiting(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
     with pytest.raises(RuntimeError, match="can't start new thread"):
         run_pipeline(_trace(30.0, 60.0))
-    starts[0].join(timeout=30)
-    assert not starts[0].is_alive() and set(threading.enumerate()) == before
+    assert set(threading.enumerate()) == before
+    assert len(starts) == 2 and not starts[0].is_alive()
