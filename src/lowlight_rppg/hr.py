@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,11 @@ _SPECTRUM_BYTES = 2**18
 _MAX_TABLE_ENTRIES = 2**20
 
 
+# Held around every _cosine_table lookup, so threads that miss the cache
+# together build a table once, not once each (8-21 ms a build on 2 vCPUs).
+_TABLE_LOCK = threading.Lock()
+
+
 @functools.lru_cache(maxsize=4)
 def _cosine_table(T: int, nfft: int, k0: int, m: int) -> np.ndarray:
     """Read-only ``(T, m)`` table ``w_tau cos(2 pi tau k / nfft)`` over lags
@@ -40,18 +46,18 @@ def _cosine_table(T: int, nfft: int, k0: int, m: int) -> np.ndarray:
     ``w_tau = 2`` otherwise.
 
     Phases are exact integers ``tau k mod nfft`` looked up in one
-    nfft-point wave, and lags are filled 64 at a time, so the temporaries
-    are that wave and a 64-lag block of phases.  At most four tables
+    nfft-point wave.  Their array is as large as the table on purpose:
+    freeing it raises glibc's dynamic mmap threshold to that size, so
+    per-call transients stay on the heap and are not faulted in on every
+    call (built from 64-lag blocks, one table per key: 2500 minor faults
+    per 120 s / 60 Hz ``extract`` in place of 1000).  At most four tables
     (32 MB) are kept.
     """
     wave = 2.0 * np.cos(np.arange(nfft) * (2.0 * np.pi / nfft))
-    table = np.empty((T, m))
+    phase = np.arange(T)[:, None] * np.arange(k0, k0 + m)
+    phase %= nfft
+    table = np.take(wave, phase)
     table[:1] = 1.0
-    k = np.arange(k0, k0 + m)
-    for lag in range(1, T, 64):
-        phase = np.arange(lag, min(lag + 64, T))[:, None] * k
-        phase %= nfft
-        np.take(wave, phase, out=table[lag:lag + len(phase)])
     table.flags.writeable = False
     return table
 
@@ -123,7 +129,9 @@ def dominant_frequencies(x, fs: float, band: tuple[float, float],
         raise ConfigError(f"band {band} contains no FFT bins at fs={fs}")
     k0, m = int(bins[0]), bins.size
     if T * m <= _MAX_TABLE_ENTRIES:
-        peak = np.argmax(_autocorrelation(x) @ _cosine_table(T, nfft, k0, m), axis=-1)
+        with _TABLE_LOCK:
+            table = _cosine_table(T, nfft, k0, m)
+        peak = np.argmax(_autocorrelation(x) @ table, axis=-1)
     else:
         rows = x.reshape(-1, T)
         peak = np.empty(len(rows), dtype=np.intp)

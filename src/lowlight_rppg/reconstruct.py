@@ -28,8 +28,8 @@ from .ssa import _NUMPY_LAPACK, decompose_rows, default_window_length
 # run_pipeline filters the window stack, searches its reference HRs, and
 # takes the emitted windows through SSA, selection and fusion this many
 # rows at a time, so no stage's temporaries grow with the trace length.
-# The filtered blocks, which the first emitted block's parts search and
-# the emitted windows are views into, are kept for the whole call:
+# The filtered blocks, which the caller searches and the emitted windows
+# are views into, are kept for the whole call:
 # n_windows * T * 8 bytes, 122 KB at 60 s / 30 Hz and 533 KB at
 # 120 s / 60 Hz (BENCH_28.json).
 _BLOCK_ROWS = 64
@@ -165,13 +165,14 @@ class PipelineConfig:
 
 
 def _run_parts(func, start: int, stop: int, parts: int) -> list:
-    """``[func(i, s) for i, s in enumerate(slices)]`` over ``parts``
-    contiguous slices of ``range(start, stop)`` (none empty), in order.
+    """``[func(s) for s in slices]`` over ``parts`` contiguous slices of
+    ``range(start, stop)`` (none empty), in order.
     The caller runs the first slice, and a new thread each of the others
     in a copy of the caller's context, so that ``np.errstate`` holds there
-    too.  Once every slice has ended, the exception of the lowest-numbered
-    one that failed is raised; if a thread fails to start, its error is
-    raised once the threads already started have ended.
+    too.  The joins and the result slots are the only state the threads
+    share.  Once every slice has ended, the exception of the
+    lowest-numbered one that failed is raised; if a thread fails to start,
+    its error is raised once the threads already started have ended.
     """
     n = stop - start
     edges = [start + n * i // parts for i in range(parts + 1)]
@@ -180,7 +181,7 @@ def _run_parts(func, start: int, stop: int, parts: int) -> list:
 
     def run(i):
         try:
-            results[i] = func(i, slices[i])
+            results[i] = func(slices[i])
         except BaseException as exc:  # raised below, on the caller's thread
             errors[i] = exc
 
@@ -222,18 +223,18 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
 
     Called from the main thread while OpenBLAS reports one thread per call
     (asked at each call), the SVDs and candidate searches of each block's
-    emitted windows are split into contiguous parts, one per core: the
-    caller takes the first, which holds the fewest windows, and a new
-    thread each of the others.  In the first emitted block, part p of n
-    searches the filtered blocks p, p + n, ... before its SVDs.  Once the
-    parts are joined, the caller masks, fuses and overlap-adds the whole
-    block.  No window's result depends on the others in its block, and
-    each filtered block is searched as one stack, so the output is
-    byte-identical to that of one part.  If searches fail, the error of
-    the lowest failed block is raised, ahead of any part's own error, as
-    on one part, where the search comes first.  Other threads, such as
-    ``sweep_report``'s workers, run one part, which takes the same steps
-    in the same order.
+    emitted windows are split into contiguous parts, one per core
+    (``_run_parts``): the caller takes the first, which holds the fewest
+    windows, and a new thread each of the others.  The caller searches
+    every reference HR, in block order, before its first part's SVDs;
+    helpers only decompose and score their own windows, and the joins and
+    result slots of ``_run_parts`` are the only state threads share.  Once
+    the parts are joined, the caller masks, fuses and overlap-adds the
+    whole block.  No window's result depends on another's in its block, so
+    the output is byte-identical to one part's, and a failed search (the
+    lowest failed block's) is raised ahead of every part's own error, as
+    on one part.  Other threads, such as ``sweep_report``'s workers, run
+    one part, which takes the same steps in the same order.
     """
     fs = trace.fs
     win = sample_count(config.window_s, fs)
@@ -263,22 +264,15 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
               for b in starts]
     # views: the filtered blocks are kept for their search anyway
     emitted_segs = [row for b, block in zip(starts, blocks) for row in block[(-b) % every::every]]
-    searchers = min(parts, _BLOCK_ROWS, len(emitted_segs))  # the first emitted block's parts
     f_r = np.empty(len(windows))
-    failed = {}  # filtered block -> its search's error
 
-    def candidates(part: int, rows: slice):
+    def candidates(rows: slice):
         """The components and candidate frequencies of the emitted windows
-        ``rows``, the ``part``-th part of their block; the first block
-        searches the references first."""
-        if rows.start < _BLOCK_ROWS:
-            try:
-                for i in range(part, len(blocks), searchers):
-                    f_r[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS] = dominant_frequencies(
-                        blocks[i], fs, config.band)
-            except BaseException as exc:
-                failed[i] = exc
-                raise
+        ``rows``, a part of their block; the caller's part of the first
+        block searches every reference HR first, in block order."""
+        if rows.start == 0:
+            for b, block in zip(starts, blocks):
+                f_r[b:b + _BLOCK_ROWS] = dominant_frequencies(block, fs, config.band)
         comps, sv = decompose_rows(np.array(emitted_segs[rows]), L, config.sec_chn)
         return comps, candidate_frequencies(comps, sv, fs)
 
@@ -287,12 +281,7 @@ def run_pipeline(trace: RawTrace, config: PipelineConfig = PipelineConfig()) -> 
     samples = np.zeros((len(emitted_segs) + 1) * hop)
     for c in range(0, len(emitted_segs), _BLOCK_ROWS):
         stop = min(c + _BLOCK_ROWS, len(emitted_segs))
-        try:
-            comps, freqs = map(np.concatenate, zip(*_run_parts(candidates, c, stop, parts)))
-        except BaseException:
-            if failed:  # a failed search outranks every part's own error
-                raise failed[min(failed)]
-            raise
+        comps, freqs = map(np.concatenate, zip(*_run_parts(candidates, c, stop, parts)))
         if c == 0:
             sigma_fr = reference_sigmas(f_r, config.sigma_init)
         f, sigma = f_r[::every][c:stop], sigma_fr[::every][c:stop]

@@ -364,3 +364,30 @@ def test_shared_table_cache_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [sliding_hr(x, FS) for x in signals]
+
+
+def test_threads_missing_the_cache_together_build_the_table_once():
+    # four threads ask at once for one table that is not cached: one
+    # builds it and the others wait and take it from the cache
+    x = np.sin(2 * np.pi * 1.2 * np.arange(600) / 60.0)
+    barrier, results = threading.Barrier(4), [None] * 4
+
+    def work(i):
+        barrier.wait(timeout=30.0)
+        results[i] = dominant_frequencies(x, 60.0, BAND)
+
+    hr._cosine_table.cache_clear()
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    info = hr._cosine_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    assert len(set(results)) == 1 and abs(results[0] - 1.2) <= 60.0 / 8192

@@ -438,62 +438,63 @@ def test_helper_scores_candidates_during_the_callers_search(monkeypatch):
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_selection_waits_for_every_search(monkeypatch, parts):
     # 140 s at 30 Hz: blocks of 64, 64 and 3 windows and one emitted block;
-    # a helper's search holds until the caller's SVDs start, and the one
-    # select_rows call of the block runs on the caller after every search
+    # the one select_rows call of the block runs on the caller after every
+    # search
     _force_parts(monkeypatch, parts)
-    caller_decomposing, lock = threading.Event(), threading.Lock()
     searched, seen_by_selection = [], []
-    real = reconstruct.dominant_frequencies
-
-    def dominant_frequencies(rows, *args):
-        if not _on_main():
-            caller_decomposing.wait(timeout=30)
-        out = real(rows, *args)
-        with lock:
-            searched.append(len(rows))
-        return out
-    monkeypatch.setattr(reconstruct, "dominant_frequencies", dominant_frequencies)
-    _spy(monkeypatch, "decompose_rows", lambda *args: _on_main() and caller_decomposing.set())
+    _spy(monkeypatch, "dominant_frequencies", lambda rows, *args: searched.append(len(rows)))
     _spy(monkeypatch, "select_rows",
          lambda *args: seen_by_selection.append((_on_main(), sorted(searched))))
     run_pipeline(_trace(30.0, 140.0))
     assert seen_by_selection == [(True, [3, 64, 64])]
 
 
-def test_two_blocks_are_searched_on_two_threads(monkeypatch):
-    # the caller searches block 1 and the helper block 2
-    _force_parts(monkeypatch, 2)
-    names = []
+@pytest.mark.parametrize("make_trace, searched", [
+    (lambda: _trace(30.0, 60.0), [51]),
+    (_pool_entry_0_60hz, [64, 47]),
+    (lambda: _trace(30.0, 140.0), [64, 64, 3]),
+], ids=["60s-30hz", "pool-0-120s-60hz", "140s-30hz"])
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_every_search_runs_on_the_caller(monkeypatch, parts, make_trace, searched):
+    # the caller searches every filtered block, in block order; helpers
+    # only decompose and score their own windows
+    _force_parts(monkeypatch, parts)
+    calls = []
     _spy(monkeypatch, "dominant_frequencies",
-         lambda *args: names.append(threading.current_thread().name))
-    run_pipeline(_pool_entry_0_60hz())
-    assert len(names) == len(set(names)) == 2 and threading.main_thread().name in names
+         lambda rows, *args: calls.append((_on_main(), len(rows))))
+    run_pipeline(make_trace())
+    assert calls == [(True, n) for n in searched]
 
 
 @pytest.mark.parametrize("other", ["select_rows", "decompose_rows"])
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_failed_search_outranks_the_other_parts_errors(monkeypatch, parts, other):
-    # 100 s at 30 Hz: blocks of 64 and 27 windows and 19 emitted windows.
-    # Block 2's search fails (on a helper at 2 or more parts), and so does
-    # every selection, or every part's SVDs: the caller gets the search's
-    # error, as on one part, where the search comes first
+    # 100 s at 30 Hz: blocks of 64 and 27 windows and 19 emitted windows;
+    # 140 s: blocks of 64, 64 and 3 and 27 emitted windows.  Every search
+    # from block 2 on fails (on the caller at any part count), and so does
+    # every selection, or every part's SVDs: the caller gets the error of
+    # block 2's search, as on one part, where the search comes first
     _force_parts(monkeypatch, parts)
-    failed_on_main = []
+    searched, failed_on_main = [], []
 
     def block_2(rows, *args):
-        if len(rows) < reconstruct._BLOCK_ROWS:
+        searched.append(rows)
+        if len(searched) >= 2:
             failed_on_main.append(_on_main())
-            raise NonFiniteInput("block 2 holds a NaN")
+            raise NonFiniteInput(f"block {len(searched)} holds a NaN")
 
     def fail(*args):
         raise (NoComponents if other == "select_rows" else DecompositionFailure)(other)
     _spy(monkeypatch, "dominant_frequencies", block_2)
     _spy(monkeypatch, other, fail)
     before = set(threading.enumerate())
-    with pytest.raises(NonFiniteInput, match="^block 2 holds a NaN$"):
-        run_pipeline(_trace(30.0, 100.0))
-    assert failed_on_main == [parts == 1]
-    assert set(threading.enumerate()) == before
+    for duration_s in (100.0, 140.0):
+        searched.clear()
+        failed_on_main.clear()
+        with pytest.raises(NonFiniteInput, match="^block 2 holds a NaN$"):
+            run_pipeline(_trace(30.0, duration_s))
+        assert failed_on_main == [True]
+        assert set(threading.enumerate()) == before
 
 
 def test_thread_that_fails_to_start_leaves_no_part_waiting(monkeypatch):
